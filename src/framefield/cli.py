@@ -2,7 +2,8 @@
 
 Subcommands: gen, verify, pair, family, experiment.  Exit codes follow a
 fixed contract: 0 all checks pass, 1 a mathematical check failed, 2 bad
-input (parameters or files), 3 depth/size/coverage problems.
+input (parameters or files), 3 depth/size/coverage problems or memory
+exhaustion.
 
 All outputs are JSON (CSV for experiment series); identical configuration
 and seed reproduce byte-identical payloads, with timestamps confined to a
@@ -16,6 +17,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -96,8 +98,8 @@ def _field_params(args) -> FieldParams:
 
 
 def _positive(value: float, name: str) -> float:
-    if value <= 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value) or value <= 0:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -398,6 +400,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DepthError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ outputs orthogonal, because distinct columns are pointwise orthonormal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,13 @@ from .mask import (
     character_table,
     check_mixed_orthogonality,
     check_uep,
+    covering_depth,
     delta_mask,
-    make_report,
+    gram_deviation,
     mask_add,
     mask_mul,
-    mask_values_on_grid,
+    representative_symbols,
+    sweep_report,
     trim_mask,
     zero_mask,
     DEFAULT_MATRIX_TOL,
@@ -36,14 +37,6 @@ from .mask import (
 
 TRIM_CUTOFF = 1e-14
 GRAM_SCHMIDT_RETRIES = 8
-
-
-def covering_depth(max_index: int, q: int) -> int:
-    """Smallest depth s >= 1 with q**s > max_index."""
-    depth = 1
-    while q ** depth <= max_index:
-        depth += 1
-    return depth
 
 
 def bank_depth(*banks: FilterBank) -> int:
@@ -94,19 +87,16 @@ class Paraunitary:
     def depth(self) -> int:
         return covering_depth(self.max_index, self.params.q)
 
-    def symbol_values(self, depth: int) -> np.ndarray:
-        """Array of shape (size, size, q**depth) of symbol values on the grid."""
-        flat = [m for row in self.entries for m in row]
-        vals = mask_values_on_grid(flat, depth) * math.sqrt(self.params.q)
-        return vals.reshape(self.size, self.size, -1)
-
     def unitarity_report(self, tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:
+        """Column orthonormality at every covering-depth grid point.  The
+        stride-q entries ignore the digit at power 0, so each coset
+        representative decides its q points."""
         depth = self.depth()
-        a = self.symbol_values(depth)
-        gram = np.einsum("ikg,ijg->gkj", np.conj(a), a)
-        gram -= np.eye(self.size)[None, :, :]
-        dev = np.abs(gram).max(axis=(1, 2))
-        return make_report("paraunitary", depth, dev, tol, self.params)
+        flat = [m for row in self.entries for m in row]
+        a = representative_symbols(flat, depth).reshape(self.size, self.size, -1)
+        dev = gram_deviation(a.transpose(0, 2, 1))
+        q = self.params.q
+        return sweep_report("paraunitary", depth, depth, np.repeat(dev, q), tol, self.params)
 
     def to_json(self) -> dict:
         return {

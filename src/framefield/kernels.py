@@ -11,9 +11,6 @@ active backend is chosen at import time from the environment:
 Both implementations are exact integer/complex arithmetic and return
 identical arrays; the test suite asserts bit-for-bit agreement and
 ``benchmarks/bench_kernels.py`` compares their speed.
-
-FRAMEFIELD_THREADS caps how many worker threads the grid sweeps in
-:mod:`framefield.mask` may use (default 1).
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ __all__ = [
     "synthesis_apply",
     "conj_char_matrix",
     "root_table",
-    "thread_count",
-    "chunk_ranges",
 ]
 
 
@@ -183,20 +178,3 @@ def conj_char_matrix(exponents: np.ndarray, p: int) -> np.ndarray:
     """conj of omega**E looked up in the exact root table."""
     roots = root_table(p)
     return roots[(p - exponents) % p]
-
-
-def thread_count() -> int:
-    value = os.environ.get("FRAMEFIELD_THREADS", "").strip()
-    if not value:
-        return 1
-    n = int(value)
-    if n < 1:
-        raise ValueError("FRAMEFIELD_THREADS must be a positive integer")
-    return n
-
-
-def chunk_ranges(n: int, parts: int):
-    """Split range(n) into at most ``parts`` contiguous (start, stop) chunks."""
-    parts = max(1, min(parts, n))
-    step = (n + parts - 1) // parts
-    return [(start, min(start + step, n)) for start in range(0, n, step)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +92,14 @@ class Mask:
     def from_json(cls, params: FieldParams, obj: dict) -> "Mask":
         try:
             coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]], dtype=np.complex128)
-            return cls(params, coeffs, int(obj.get("stride", 1)))
+            stride = int(obj.get("stride", 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"bad mask object: {exc}") from exc
+        # checked here, where input enters, rather than on every Mask the
+        # algebra builds from finite values
+        if not np.isfinite(coeffs).all():
+            raise ParameterError("mask coefficients must be finite")
+        return cls(params, coeffs, stride)
 
 
 def zero_mask(params: FieldParams, stride: int = 1) -> Mask:
@@ -308,20 +312,7 @@ def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
 
 def mask_values_on_grid(masks, depth: int) -> np.ndarray:
     """Values of several masks at every depth-s grid point, kernel route."""
-    params = masks[0].params
-    digits = grid_digits(params, depth)
-    nthreads = kernels.thread_count()
-    if nthreads <= 1 or digits.shape[0] < 1024:
-        return mask_values_at_digits(masks, digits)
-    chunks = kernels.chunk_ranges(digits.shape[0], nthreads)
-    out = np.zeros((len(masks), digits.shape[0]), dtype=np.complex128)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = {
-            pool.submit(mask_values_at_digits, masks, digits[a:b]): (a, b) for a, b in chunks
-        }
-        for fut, (a, b) in futures.items():
-            out[:, a:b] = fut.result()
-    return out
+    return mask_values_at_digits(masks, grid_digits(masks[0].params, depth))
 
 
 @functools.lru_cache(maxsize=None)
@@ -434,7 +425,17 @@ def polyphase_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
 # grid-sweep checks
 
 
+def covering_depth(max_index: int, q: int) -> int:
+    """Smallest depth s >= 1 with q**s > max_index."""
+    depth = 1
+    while q ** depth <= max_index:
+        depth += 1
+    return depth
+
+
 def _require_depth(depth: int, max_index: int, q: int):
+    if depth < 1:
+        raise DepthError(f"grid depth must be at least 1, got {depth}")
     if q ** depth < max_index + 1:
         raise DepthError(
             f"grid depth {depth} covers indices below {q ** depth}, "
@@ -442,32 +443,72 @@ def _require_depth(depth: int, max_index: int, q: int):
         )
 
 
-def _gram_deviation_sweep(values: np.ndarray, smap: np.ndarray, target_rank: int):
-    """Per-point max-abs deviation of H(g)* H(g) from the identity, where
-    H(g)[l, k] = values[l, smap[g, k]]."""
-    shifted = values[:, smap]  # (L+1, G, q)
-    gram = np.einsum("lgk,lgj->gkj", np.conj(shifted), shifted)
-    gram -= np.eye(target_rank)[None, :, :]
+def swept_depth(depth: int, max_index: int, q: int) -> int:
+    """Depth a sweep runs at: the requested one, capped at covering depth.
+
+    Masks whose support fits below q^s are constant on cosets of B^s, so a
+    deeper grid only repeats the covering-depth values.
+    """
+    _require_depth(depth, max_index, q)
+    return min(depth, covering_depth(max_index, q))
+
+
+def coset_values(masks, depth: int) -> np.ndarray:
+    """Mask values on the depth-s grid as an (M, q^(s-1), q) array:
+    entry [l, r, a] is mask l at coset representative r plus a at power 0,
+    so [:, r, :] holds the modulation matrix at r up to a column permutation.
+    """
+    return mask_values_on_grid(masks, depth).reshape(len(masks), -1, masks[0].params.q)
+
+
+def representative_symbols(masks, depth: int) -> np.ndarray:
+    """Symbol values of stride-q masks at the q^(s-1) coset representatives
+    (the depth-s points with digit 0 at power 0, in grid order), shape
+    (M, q^(s-1)); such symbols ignore the digit at power 0."""
+    params = masks[0].params
+    tail = grid_digits(params, depth - 1)
+    digits = np.concatenate([np.zeros((tail.shape[0], 1), dtype=np.int64), tail], axis=1)
+    return mask_values_at_digits(masks, digits) * math.sqrt(params.q)
+
+
+def gram_deviation(cols: np.ndarray) -> np.ndarray:
+    """max |A_r* A_r - I| for each matrix A_r = cols[:, r, :] of an (n, R, k)
+    stack, so that mask-by-coset arrays need no transpose."""
+    gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols)
+    gram -= np.eye(cols.shape[2])
     return np.abs(gram).max(axis=(1, 2))
 
 
+def sweep_report(condition, depth, swept, deviations, tol, params) -> CheckReport:
+    """Report of a sweep at depth ``swept`` <= ``depth``, from one deviation
+    per depth-``swept`` grid point.
+
+    The requested grid repeats those values with period q^swept, so its
+    first argmax is the first argmax here.
+    """
+    details = {"swept_depth": swept, "cosets_swept": params.q ** (swept - 1)}
+    return make_report(condition, depth, deviations, tol, params, details)
+
+
 def check_uep(bank: FilterBank, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:
-    """Column orthonormality of the modulation matrix at every grid point."""
+    """Column orthonormality of the modulation matrix at every grid point.
+
+    Across a coset the columns are only permuted, so one Gram per coset
+    representative decides all q points.
+    """
     params = bank.params
-    _require_depth(depth, bank.max_index, params.q)
-    values = mask_values_on_grid(bank.masks, depth)
-    dev = _gram_deviation_sweep(values, shift_map(params, depth), params.q)
-    return make_report("uep", depth, dev, tol, params)
+    swept = swept_depth(depth, bank.max_index, params.q)
+    dev = gram_deviation(coset_values(bank.masks, swept))
+    return sweep_report("uep", depth, swept, np.repeat(dev, params.q), tol, params)
 
 
 def check_subqmf(m0: Mask, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:
     """One-sided bound sum_k |m0(xi + t*u(k))|^2 <= 1 over the grid."""
     params = m0.params
-    _require_depth(depth, m0.max_index, params.q)
-    values = mask_values_on_grid([m0], depth)[0]
-    sums = (np.abs(values[shift_map(params, depth)]) ** 2).sum(axis=1)
+    swept = swept_depth(depth, m0.max_index, params.q)
+    sums = (np.abs(coset_values([m0], swept)[0]) ** 2).sum(axis=1)
     dev = np.maximum(0.0, sums - 1.0)
-    return make_report("subqmf", depth, dev, tol, params)
+    return sweep_report("subqmf", depth, swept, np.repeat(dev, params.q), tol, params)
 
 
 def check_polyphase_unitary(
@@ -476,16 +517,14 @@ def check_polyphase_unitary(
     """Row orthonormality of the polyphase matrix at every grid point."""
     params = bank.params
     q = params.q
-    _require_depth(depth, bank.max_index, q)
+    swept = swept_depth(depth, bank.max_index, q)
     comps = []
     for m in bank.masks:
         comps.extend(polyphase_split(m))
-    values = mask_values_on_grid(comps, depth) * math.sqrt(q)
-    gamma = values.reshape(len(bank.masks), q, -1)  # (L+1, q, G)
-    gram = np.einsum("lrg,lsg->grs", gamma, np.conj(gamma))
-    gram -= np.eye(q)[None, :, :]
-    dev = np.abs(gram).max(axis=(1, 2))
-    return make_report("polyphase_unitary", depth, dev, tol, params)
+    gamma = representative_symbols(comps, swept).reshape(len(bank.masks), q, -1)  # (L+1, q, R)
+    # rows of Gamma orthonormal <=> columns of Gamma* orthonormal
+    dev = gram_deviation(np.conj(gamma).transpose(0, 2, 1))
+    return sweep_report("polyphase_unitary", depth, swept, np.repeat(dev, q), tol, params)
 
 
 def check_mixed_orthogonality(
@@ -494,21 +533,19 @@ def check_mixed_orthogonality(
     """Vanishing of the wavelet-only cross Gram between two banks.
 
     For every grid point and every shift index k (0 included), the two-column
-    wavelet matrices at (xi, xi + t*u(k)) must have zero cross product.
+    wavelet matrices at (xi, xi + t*u(k)) must have zero cross product.  At
+    the point r + a of a coset these entries are row a, column a and the
+    diagonal of the cross Gram C(r) of the representative.
     """
     if bankA.params != bankB.params:
         raise ParameterError("banks belong to different fields")
     if bankA.n_wavelets != bankB.n_wavelets:
         raise ParameterError("banks must have the same number of wavelet masks")
     params = bankA.params
-    q = params.q
-    _require_depth(depth, max(bankA.max_index, bankB.max_index), q)
-    va = mask_values_on_grid(bankA.wavelets, depth)
-    vb = mask_values_on_grid(bankB.wavelets, depth)
-    smap = shift_map(params, depth)
-    cross = np.einsum("lgk,lgj->gkj", np.conj(va[:, smap]), vb[:, smap])
-    sel = np.zeros((q, q), dtype=bool)
-    sel[0, :] = sel[:, 0] = True
-    np.fill_diagonal(sel, True)
-    dev = np.abs(cross[:, sel]).max(axis=1)
-    return make_report("mixed_orthogonality", depth, dev, tol, params)
+    swept = swept_depth(depth, max(bankA.max_index, bankB.max_index), params.q)
+    va = coset_values(bankA.wavelets, swept)
+    vb = coset_values(bankB.wavelets, swept)
+    cross = np.abs(np.einsum("lrk,lrj->rkj", np.conj(va), vb))
+    diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
+    dev = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None])
+    return sweep_report("mixed_orthogonality", depth, swept, dev.ravel(), tol, params)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from framefield.construct import haar_bank
 from framefield.galois import FieldParams
+
+# fixed example sets keep the suite deterministic and its run time bounded
+settings.register_profile(
+    "framefield", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("framefield")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,16 @@
 """End-to-end CLI behavior: subcommands, files, exit codes, determinism."""
 
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import framefield
 from framefield.cli import main
 from framefield.construct import derive_pair, seeded_paraunitary
 from framefield.mask import FilterBank, zero_mask
@@ -73,6 +80,65 @@ def test_verify_depth_too_small(tmp_path, p2, haar2):
     bank = tmp_path / "long.json"
     bank.write_text(json.dumps(pair.primal.to_json()))
     assert run(["verify", bank, "--depth", 1, "--out", tmp_path / "r.json"]) == 3
+
+
+def test_verify_rejects_nan_refinement_mask(tmp_path, haar2):
+    obj = haar2.to_json()
+    obj["masks"][0]["coeffs"][0] = [math.nan, 0.0]
+    bank = tmp_path / "nan.json"
+    bank.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert run(["verify", bank, "--out", out]) == 2
+    assert not out.exists()
+
+
+def test_verify_rejects_infinite_wavelet(tmp_path, haar2):
+    obj = haar2.to_json()
+    obj["masks"][1]["coeffs"][1] = [0.0, math.inf]
+    bank = tmp_path / "inf.json"
+    bank.write_text(json.dumps(obj))
+    assert run(["verify", bank, "--out", tmp_path / "r.json"]) == 2
+
+
+def test_verify_rejects_nan_tolerance(tmp_path):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    assert run(["verify", bank, "--tol", "nan", "--out", tmp_path / "r.json"]) == 2
+
+
+AS_LIMIT = 1 << 30
+
+
+def _run_limited(args):
+    """The CLI in a child process whose address space is capped."""
+    src = str(Path(framefield.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+
+    return subprocess.run(
+        [sys.executable, "-m", "framefield.cli", *map(str, args)],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_memory_exhaustion_exits_3(tmp_path, haar2):
+    # q = 2 with a 2**16-coefficient wavelet: the covering-depth evaluation
+    # needs a 2**16 x 2**16 exponent table, far beyond the 1 GiB cap
+    obj = haar2.to_json()
+    obj["masks"][1]["coeffs"] = [[0.0, 0.0]] * (2 ** 16 - 1) + [[1.0, 0.0]]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(obj))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(haar2.to_json()))
+    # the same cap leaves ample room for an ordinary run
+    assert _run_limited(["verify", small, "--out", tmp_path / "small_r.json"]).returncode == 0
+    done = _run_limited(["verify", big, "--out", tmp_path / "big_r.json"])
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert "out of memory" in done.stderr
 
 
 def test_verify_mixed_needs_dual(tmp_path):

@@ -72,22 +72,3 @@ def test_root_table_exactness():
     r5 = kernels.root_table(5)
     assert np.allclose(np.abs(r5), 1.0, atol=1e-15)
 
-
-def test_chunk_ranges_cover():
-    chunks = kernels.chunk_ranges(10, 3)
-    covered = [i for a, b in chunks for i in range(a, b)]
-    assert covered == list(range(10))
-    assert kernels.chunk_ranges(2, 8) == [(0, 1), (1, 2)]
-
-
-def test_thread_sweep_matches_serial(haar2):
-    from framefield.mask import check_uep
-
-    serial = check_uep(haar2, 6)
-    os.environ["FRAMEFIELD_THREADS"] = "3"
-    try:
-        threaded = check_uep(haar2, 6)
-    finally:
-        del os.environ["FRAMEFIELD_THREADS"]
-    assert serial.max_deviation == threaded.max_deviation
-    assert serial.worst_point == threaded.worst_point

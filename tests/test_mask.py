@@ -288,6 +288,29 @@ def test_worst_point_is_first_lexicographic(p2):
     assert report.max_deviation == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mask_load_rejects_non_finite(p2, bad):
+    for coeff in ([1.0, bad], [bad, 0.0]):
+        with pytest.raises(ParameterError):
+            Mask.from_json(p2, {"stride": 1, "coeffs": [[1.0, 0.0], coeff]})
+
+
+def test_report_says_what_was_swept(p3, haar2):
+    # Haar masks are constant on cosets of B^1: deeper grids add nothing
+    report = check_uep(haar2, 6)
+    assert report.grid_depth == 6
+    assert report.details == {"swept_depth": 1, "cosets_swept": 1}
+    bank = random_bank(p3, seed=9, unitary=True, max_delay=3)  # indices up to 11 < 3**3
+    for depth in (3, 4):
+        for report in (check_uep(bank, depth), check_polyphase_unitary(bank, depth)):
+            assert report.details == {"swept_depth": 3, "cosets_swept": 9}
+
+
+def test_depth_zero_rejected(p2, haar2):
+    with pytest.raises(DepthError):
+        check_subqmf(delta_mask(p2, 1.0), 0)
+
+
 def test_stride_validation(p2):
     with pytest.raises(ParameterError):
         Mask(p2, np.ones(2), stride=3)

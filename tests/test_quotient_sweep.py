@@ -1,0 +1,141 @@
+"""The coset-quotient sweeps against the full-grid formulation.
+
+The reference below is the direct route: mask values at every point of the
+requested grid, the q shifted columns gathered through ``shift_map``, and
+one Gram per point.  The checkers sweep coset representatives at covering
+depth instead; both must give the same verdict, the same maximum deviation
+to rounding, and a worst point where the reference attains that maximum.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from framefield.construct import Paraunitary, random_bank
+from framefield.errors import ConstructionError
+from framefield.galois import FieldParams
+from framefield.mask import (
+    DEFAULT_MATRIX_TOL,
+    check_mixed_orthogonality,
+    check_polyphase_unitary,
+    check_subqmf,
+    check_uep,
+    covering_depth,
+    mask_values_on_grid,
+    polyphase_split,
+    shift_map,
+)
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
+DEV_ATOL = 1e-14
+WORST_ATOL = 1e-12
+REAL_DEVIATION = 1e-6
+
+
+def _shifted(masks, depth):
+    values = mask_values_on_grid(masks, depth)
+    return values[:, shift_map(masks[0].params, depth)]  # (M, G, q)
+
+
+def reference_deviations(condition, bank, dual, depth):
+    """Per-point deviations on the full depth-s grid."""
+    q = bank.params.q
+    if condition == "uep":
+        h = _shifted(bank.masks, depth)
+        gram = np.einsum("lgk,lgj->gkj", np.conj(h), h) - np.eye(q)
+        return np.abs(gram).max(axis=(1, 2))
+    if condition == "subqmf":
+        h = _shifted([bank.m0], depth)[0]
+        return np.maximum(0.0, (np.abs(h) ** 2).sum(axis=1) - 1.0)
+    if condition == "polyphase_unitary":
+        comps = [c for m in bank.masks for c in polyphase_split(m)]
+        gamma = mask_values_on_grid(comps, depth) * math.sqrt(q)
+        gamma = gamma.reshape(len(bank.masks), q, -1)
+        gram = np.einsum("lrg,lsg->grs", gamma, np.conj(gamma)) - np.eye(q)
+        return np.abs(gram).max(axis=(1, 2))
+    if condition == "mixed_orthogonality":
+        a, b = _shifted(bank.wavelets, depth), _shifted(dual.wavelets, depth)
+        cross = np.einsum("lgk,lgj->gkj", np.conj(a), b)
+        sel = np.eye(q, dtype=bool)
+        sel[0, :] = sel[:, 0] = True
+        return np.abs(cross[:, sel]).max(axis=1)
+    raise ValueError(condition)
+
+
+def reference_paraunitary(params, entries):
+    """Per-point column deviations of a symbol matrix at covering depth."""
+    flat = [m for row in entries for m in row]
+    depth = covering_depth(max(m.max_index for m in flat), params.q)
+    size = len(entries)
+    a = mask_values_on_grid(flat, depth) * math.sqrt(params.q)
+    a = a.reshape(size, size, -1)
+    gram = np.einsum("ikg,ijg->gkj", np.conj(a), a) - np.eye(size)
+    return np.abs(gram).max(axis=(1, 2)), depth
+
+
+def grid_index(point, depth):
+    q = point.params.q
+    return sum(point.digit_at(j) * q ** j for j in range(depth))
+
+
+def assert_matches(report, ref, depth, max_index):
+    q = report.worst_point.params.q
+    assert report.grid_depth == depth
+    swept = min(depth, covering_depth(max_index, q))
+    assert report.details == {"swept_depth": swept, "cosets_swept": q ** (swept - 1)}
+    assert report.passed == bool(ref.max() <= report.tolerance)
+    assert abs(report.max_deviation - ref.max()) <= DEV_ATOL
+    worst = grid_index(report.worst_point, depth)
+    assert abs(ref[worst] - report.max_deviation) <= WORST_ATOL
+    if report.max_deviation > REAL_DEVIATION:
+        # away from rounding noise, ties are exact and the first point wins
+        assert worst == int(np.argmax(ref >= report.max_deviation - WORST_ATOL))
+
+
+banks = st.builds(
+    lambda field, seed, unitary, delay: random_bank(
+        FieldParams(*field), seed, unitary=unitary, max_delay=delay
+    ),
+    st.sampled_from(FIELDS),
+    st.integers(0, 2 ** 16),
+    st.booleans(),
+    st.integers(0, 3),
+)
+
+
+@given(bank=banks, extra=st.integers(0, 1), data=st.data())
+def test_quotient_sweeps_match_full_grid(bank, extra, data):
+    dual = random_bank(
+        bank.params,
+        data.draw(st.integers(0, 2 ** 16)),
+        unitary=data.draw(st.booleans()),
+        max_delay=data.draw(st.integers(0, 3)),
+    )
+    q = bank.params.q
+    top = max(bank.max_index, dual.max_index)
+    depth = covering_depth(top, q) + extra
+    reports = [
+        (check_uep(bank, depth), bank.max_index),
+        (check_subqmf(bank.m0, depth), bank.m0.max_index),
+        (check_polyphase_unitary(bank, depth), bank.max_index),
+        (check_mixed_orthogonality(bank, dual, depth), top),
+    ]
+    for report, max_index in reports:
+        ref = reference_deviations(report.condition, bank, dual, depth)
+        assert_matches(report, ref, depth, max_index)
+
+
+@given(bank=banks)
+def test_quotient_paraunitary_matches_full_grid(bank):
+    # the polyphase matrix of a bank as a matrix of stride-q symbols
+    q = bank.params.q
+    entries = [[polyphase_split(m)[r] for m in bank.masks] for r in range(q)]
+    try:
+        report = Paraunitary(bank.params, q, entries).unitarity_report()
+    except ConstructionError as exc:
+        report = exc.report
+    assert report.tolerance == DEFAULT_MATRIX_TOL
+    ref, depth = reference_paraunitary(bank.params, entries)
+    assert_matches(report, ref, depth, max(m.max_index for row in entries for m in row))
