@@ -16,7 +16,6 @@ cli         the ``framefield`` command-line tool
 """
 
 from .galois import FieldParams, GFElem, gf_add, gf_from_digit, gf_mul, gf_proj0, gf_to_digit
-from .kernels import BACKEND
 from .localfield import (
     FieldElement,
     chi,

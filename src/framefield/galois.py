@@ -8,7 +8,8 @@ in [0, q); ``gf_from_digit`` / ``gf_to_digit`` convert between the two.
 Multiplication reduces the product polynomial naively mod the modulus and
 mod p; at the scales this package targets (q <= a few thousand) this is
 fast and easy to audit.  ``field_tables`` materializes the full q-by-q
-operation tables once per parameter set for the numeric kernels.
+operation tables once per parameter set for the numeric kernels, with
+array arithmetic and the discrete logarithm to a primitive element.
 """
 
 from __future__ import annotations
@@ -237,28 +238,46 @@ def gf_to_digit(a: GFElem) -> int:
     return sum(x * p ** i for i, x in enumerate(a.coords))
 
 
+def _primitive_powers(params: FieldParams) -> np.ndarray:
+    """Codes of g**0, ..., g**(q-2) for the primitive element g of smallest code."""
+    one = gf_one(params)
+    for code in range(1, params.q):
+        g = gf_from_digit(params, code)
+        powers = [1]
+        x = g
+        while x != one:
+            powers.append(gf_to_digit(x))
+            x = gf_mul(x, g)
+        if len(powers) == params.q - 1:
+            return np.array(powers, dtype=np.int64)
+    raise ParameterError("no primitive element found; field parameters are inconsistent")
+
+
 @functools.lru_cache(maxsize=None)
 def field_tables(params: FieldParams):
     """Dense operation tables on integer codes, for the numeric kernels.
 
     Returns an object with int64 arrays ``add``/``sub``/``mul`` of shape (q, q),
     ``neg``/``inv``/``proj0`` of shape (q,).  ``inv[0]`` is 0 by convention.
+    Sums are digit-wise mod p; products and inverses go through the discrete
+    logarithm to a primitive element g, a*b = g**(log a + log b).
     """
-    q = params.q
-    elems = [gf_from_digit(params, d) for d in range(q)]
+    p, q = params.p, params.q
+    place = p ** np.arange(params.c, dtype=np.int64)
+    coords = (np.arange(q, dtype=np.int64)[:, None] // place) % p
     add = np.zeros((q, q), dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            add[i, j] = gf_to_digit(gf_add(elems[i], elems[j]))
-            mul[i, j] = gf_to_digit(gf_mul(elems[i], elems[j]))
-    neg = np.array([gf_to_digit(gf_neg(e)) for e in elems], dtype=np.int64)
+    for i in range(params.c):
+        add += ((coords[:, None, i] + coords[None, :, i]) % p) * place[i]
+    neg = ((-coords) % p) @ place
     sub = add[:, neg]
+    exp = _primitive_powers(params)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    mul = np.zeros((q, q), dtype=np.int64)
+    mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
     inv = np.zeros(q, dtype=np.int64)
-    for d in range(1, q):
-        inv[d] = gf_to_digit(gf_inv(elems[d]))
-    proj0 = np.array([gf_proj0(e) for e in elems], dtype=np.int64)
-    return _Tables(add=add, sub=sub, mul=mul, neg=neg, inv=inv, proj0=proj0)
+    inv[1:] = exp[-log[1:] % (q - 1)]
+    return _Tables(add=add, sub=sub, mul=mul, neg=neg, inv=inv, proj0=coords[:, 0].copy())
 
 
 @dataclass(frozen=True)

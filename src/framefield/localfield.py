@@ -212,6 +212,12 @@ def chi_n(n: int, xi: FieldElement) -> complex:
     return chi(lf_mul(u_map(xi.params, n), xi))
 
 
+def check_grid_points(q: int, depth: int):
+    """SizeError when the depth-s grid has more than MAX_GRID_POINTS points."""
+    if q ** depth > MAX_GRID_POINTS:
+        raise SizeError(f"grid of {q ** depth} points exceeds the {MAX_GRID_POINTS} cap")
+
+
 def grid_digits(params: FieldParams, depth: int) -> np.ndarray:
     """Digit matrix of the depth-s grid: row g holds the digits of point g
     at powers 0..s-1, with the power-0 digit cycling fastest as g increases.
@@ -219,10 +225,8 @@ def grid_digits(params: FieldParams, depth: int) -> np.ndarray:
     if depth < 0:
         raise RangeError("depth must be non-negative")
     q = params.q
-    npts = q ** depth
-    if npts > MAX_GRID_POINTS:
-        raise SizeError(f"grid of {npts} points exceeds the {MAX_GRID_POINTS} cap")
-    g = np.arange(npts, dtype=np.int64)
+    check_grid_points(q, depth)
+    g = np.arange(q ** depth, dtype=np.int64)
     return np.stack([(g // q ** j) % q for j in range(depth)], axis=1) if depth else np.zeros((1, 0), dtype=np.int64)
 
 
@@ -234,7 +238,5 @@ def grid_point(params: FieldParams, depth: int, g: int) -> FieldElement:
 
 def grid(params: FieldParams, depth: int) -> list:
     """All q^s coset representatives of B^s in D, in enumeration order."""
-    n = params.q ** depth
-    if n > MAX_GRID_POINTS:
-        raise SizeError(f"grid of {n} points exceeds the {MAX_GRID_POINTS} cap")
-    return [grid_point(params, depth, g) for g in range(n)]
+    check_grid_points(params.q, depth)
+    return [grid_point(params, depth, g) for g in range(params.q ** depth)]

@@ -27,9 +27,9 @@ from .errors import DepthError, ParameterError
 from .galois import FieldParams, field_tables
 from .localfield import (
     FieldElement,
+    check_grid_points,
     chi_n,
     fe_prime_power,
-    grid_digits,
     grid_point,
     index_add,
     lf_add,
@@ -262,22 +262,71 @@ def _tmod(params: FieldParams) -> np.ndarray:
     return tab.proj0[tab.mul]
 
 
+@functools.lru_cache(maxsize=None)
+def _character_factor(params: FieldParams) -> np.ndarray:
+    """F[a, x] = conj chi(t * u(a) * u(x)), the one-digit factor of every
+    character value: conj chi_j(xi) = prod_d F[j_d, xi_d] over the base-q
+    digits of j and the power-d digits of xi."""
+    codes = np.arange(params.q, dtype=np.int64)[:, None]
+    exps = kernels.exponent_table(codes, codes, _tmod(params), params.p)
+    out = kernels.conj_char_matrix(exps, params.p)
+    out.flags.writeable = False
+    return out
+
+
 def character_table(params: FieldParams) -> np.ndarray:
     """Unitary q-by-q table V[k, r] = q**-0.5 * conj chi(t * u(r) * u(k)).
 
     Its rows are the coefficient vectors of the canonical (Haar) bank, and it
     conjugates the modulation matrix into the polyphase matrix.
     """
+    return _character_factor(params) / math.sqrt(params.q)
+
+
+def _fold(coeffs: np.ndarray, size: int) -> np.ndarray:
+    """(M, n) coefficient rows as (M, ceil(n/size), size), zero-padded."""
+    padded = np.pad(coeffs, ((0, 0), (0, -coeffs.shape[1] % size)))
+    return padded.reshape(len(coeffs), -1, size)
+
+
+def _stride_groups(masks, lift: int = 0):
+    """Masks grouped by stride, as (rows, k, coeffs): the group's rows in
+    ``masks``, its coefficients zero-padded to one length, and k such that
+    at the points t**lift * x the group acts as stride-q**k masks at x.
+
+    A stride-q**k' mask with k' >= lift reads x from power k' - lift on; for
+    k' < lift its lowest lift - k' index digits meet zero digits, so the
+    coefficients that differ only in those digits add up.
+    """
+    q = masks[0].params.q
+    for stride in sorted({m.stride for m in masks}):
+        rows = [i for i, m in enumerate(masks) if m.stride == stride]
+        coeffs = np.zeros((len(rows), max(len(masks[i].coeffs) for i in rows)), dtype=np.complex128)
+        for r, i in enumerate(rows):
+            coeffs[r, : len(masks[i].coeffs)] = masks[i].coeffs
+        k = round(math.log(stride, q)) - lift
+        if k < 0:
+            coeffs = _fold(coeffs, q ** -k).sum(axis=2)
+            k = 0
+        yield rows, k, coeffs
+
+
+def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int):
+    """Values of stride-1 coefficient rows on the depth-e grid, as
+    (values, e) with e = min(depth, base-q digits of the last slot).
+
+    Point digits at power e and above meet only zero index digits (and
+    index digits at power e and above only zero point digits), so the rows
+    fold mod q**e before one character transform.
+    """
     q = params.q
-    ex = _tmod(params)[:q, :q]
-    return kernels.conj_char_matrix(ex, params.p) / math.sqrt(q)
-
-
-def _index_digit_matrix(indices: np.ndarray, q: int, width: int) -> np.ndarray:
-    out = np.empty((len(indices), width), dtype=np.int64)
-    for d in range(width):
-        out[:, d] = (indices // q ** d) % q
-    return out
+    e = 0
+    while e < depth and q ** e < coeffs.shape[1]:
+        e += 1
+    check_grid_points(q, e)
+    folded = _fold(coeffs, q ** e).sum(axis=1)
+    values = kernels.character_transform(folded, _character_factor(params))
+    return values / math.sqrt(q), e
 
 
 def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
@@ -289,30 +338,26 @@ def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
     params = masks[0].params
     q = params.q
     width = point_digits.shape[1]
-    # group masks by stride so each group shares one index set
     values = np.zeros((len(masks), point_digits.shape[0]), dtype=np.complex128)
-    strides = sorted({m.stride for m in masks})
-    for stride in strides:
-        rows = [i for i, m in enumerate(masks) if m.stride == stride]
-        n = max(len(masks[i].coeffs) for i in rows)
-        if n == 0:
-            continue
-        coeffs = np.zeros((len(rows), n), dtype=np.complex128)
-        for r, i in enumerate(rows):
-            coeffs[r, : len(masks[i].coeffs)] = masks[i].coeffs
-        indices = np.arange(n, dtype=np.int64) * stride
-        # digits of the indices beyond the point width pair with zero digits
-        # and contribute exponent 0, so width digits suffice.
-        idx_digits = _index_digit_matrix(indices, q, width)
-        exps = kernels.exponent_table(idx_digits, point_digits, _tmod(params), params.p)
-        char = kernels.conj_char_matrix(exps, params.p)
-        values[rows, :] = (coeffs @ char) / math.sqrt(q)
+    for rows, k, coeffs in _stride_groups(masks):
+        table, e = _grid_transform(params, coeffs, width - k)
+        values[rows] = table[:, point_digits[:, k : k + e] @ (q ** np.arange(e, dtype=np.int64))]
     return values
 
 
-def mask_values_on_grid(masks, depth: int) -> np.ndarray:
-    """Values of several masks at every depth-s grid point, kernel route."""
-    return mask_values_at_digits(masks, grid_digits(masks[0].params, depth))
+def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
+    """Values of several masks at t**lift * x for every point x of the
+    depth-s grid, in grid order."""
+    params = masks[0].params
+    q = params.q
+    check_grid_points(q, depth)
+    values = np.zeros((len(masks), q ** depth), dtype=np.complex128)
+    for rows, k, coeffs in _stride_groups(masks, lift):
+        table, e = _grid_transform(params, coeffs, depth - k)
+        # grid index g reads the table at (g // q**k) % q**e
+        low = q ** min(k, depth)
+        values.reshape(len(masks), -1, q ** e, low)[rows] = table[:, None, :, None]
+    return values
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,11 +509,12 @@ def coset_values(masks, depth: int) -> np.ndarray:
 def representative_symbols(masks, depth: int) -> np.ndarray:
     """Symbol values of stride-q masks at the q^(s-1) coset representatives
     (the depth-s points with digit 0 at power 0, in grid order), shape
-    (M, q^(s-1)); such symbols ignore the digit at power 0."""
-    params = masks[0].params
-    tail = grid_digits(params, depth - 1)
-    digits = np.concatenate([np.zeros((tail.shape[0], 1), dtype=np.int64), tail], axis=1)
-    return mask_values_at_digits(masks, digits) * math.sqrt(params.q)
+    (M, q^(s-1)); such symbols ignore the digit at power 0.
+
+    The representatives are t * x for x on the depth-(s-1) grid, where a
+    stride-q mask reads x as the stride-1 mask of its raw coefficients.
+    """
+    return mask_values_on_grid(masks, depth - 1, lift=1) * math.sqrt(masks[0].params.q)
 
 
 def gram_deviation(cols: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from . import kernels
 from .construct import FramePair, bank_depth, covering_depth
 from .errors import ConstructionError, CoverageError, DepthError, ParameterError
 from .galois import FieldParams, field_tables
-from .localfield import FieldElement, fe_zero, grid_point
+from .localfield import FieldElement, fe_zero, grid_digits, grid_point
 from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
@@ -29,7 +29,7 @@ from .mask import (
     Mask,
     check_uep,
     eval_mask,
-    mask_values_at_digits,
+    mask_values_on_grid,
 )
 
 
@@ -89,13 +89,6 @@ def constant_hat(params: FieldParams, j_neg: int, j_pos: int, value: complex = 1
     return HatGrid(params, j_neg, j_pos, vals)
 
 
-def hat_digit_matrix(params: FieldParams, j_neg: int, j_pos: int) -> np.ndarray:
-    q = params.q
-    width = j_neg + j_pos
-    h = np.arange(q ** width, dtype=np.int64)
-    return np.stack([(h // q ** i) % q for i in range(width)], axis=1)
-
-
 def cascade_phihat(
     m0: Mask,
     iterations: int,
@@ -114,27 +107,26 @@ def cascade_phihat(
         raise ParameterError(f"refinement mask is not normalized: m0(0) = {value0}")
     q = params.q
     width = j_neg + j_pos
-    digits = hat_digit_matrix(params, j_neg, j_pos)
+    digits = grid_digits(params, width)
     support_depth = covering_depth(m0.max_index, q)
+    # m0 is constant on cosets of B^s: each factor gathers from one table
+    table = mask_values_on_grid([m0], support_depth)[0]
     values = np.ones(q ** width, dtype=np.complex128)
     stabilized_at = None
     for j in range(1, iterations + 1):
         # digit of t**j x at power i equals digit of x at power i - j,
         # i.e. column i - j + j_neg of the hat digit matrix
-        cols = []
+        g = np.zeros(len(values), dtype=np.int64)
         needs_any = False
         for i in range(support_depth):
             src = i - j + j_neg
             if 0 <= src < width:
-                cols.append(digits[:, src])
+                g += digits[:, src] * q ** i
                 needs_any = True
-            else:
-                cols.append(np.zeros(len(values), dtype=np.int64))
         if not needs_any:
             stabilized_at = j if stabilized_at is None else stabilized_at
             break
-        factor_digits = np.stack(cols, axis=1)
-        values *= mask_values_at_digits([m0], factor_digits)[0]
+        values *= table[g]
     return HatGrid(params, j_neg, j_pos, values, stabilized_at=stabilized_at)
 
 

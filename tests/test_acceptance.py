@@ -43,7 +43,7 @@ def report_line(number, passed, text):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_up_kernels():
-    # exclude JIT compilation and table construction from the timed criteria
+    # exclude table construction from the timed criteria
     for p, c in [(2, 1), (3, 1), (2, 2), (5, 1)]:
         params = FieldParams(p, c)
         bank = haar_bank(params)

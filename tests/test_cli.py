@@ -109,36 +109,48 @@ def test_verify_rejects_nan_tolerance(tmp_path):
 AS_LIMIT = 1 << 30
 
 
+def _child_env(**extra):
+    """Environment for a CLI child that imports the framefield checkout under test."""
+    src = str(Path(framefield.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_limited(args):
     """The CLI in a child process whose address space is capped."""
-    src = str(Path(framefield.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
 
     return subprocess.run(
         [sys.executable, "-m", "framefield.cli", *map(str, args)],
-        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        env=_child_env(), preexec_fn=limit, capture_output=True, text=True, timeout=120,
     )
 
 
 def test_memory_exhaustion_exits_3(tmp_path, haar2):
-    # q = 2 with a 2**16-coefficient wavelet: the covering-depth evaluation
-    # needs a 2**16 x 2**16 exponent table, far beyond the 1 GiB cap
-    obj = haar2.to_json()
-    obj["masks"][1]["coeffs"] = [[0.0, 0.0]] * (2 ** 16 - 1) + [[1.0, 0.0]]
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps(obj))
-    small = tmp_path / "small.json"
-    small.write_text(json.dumps(haar2.to_json()))
+    # a parseval run on a q = 2 signal of 2**27 complex samples allocates
+    # 2 GiB, far beyond the 1 GiB cap
+    bank = tmp_path / "haar2.json"
+    bank.write_text(json.dumps(haar2.to_json()))
+    small = ["experiment", "--kind", "parseval", "--bank", bank, "--levels", 1, "--trials", 1]
     # the same cap leaves ample room for an ordinary run
-    assert _run_limited(["verify", small, "--out", tmp_path / "small_r.json"]).returncode == 0
-    done = _run_limited(["verify", big, "--out", tmp_path / "big_r.json"])
+    assert _run_limited([*small, "--out", tmp_path / "small_r.json"]).returncode == 0
+    done = _run_limited([*small, "--signal-size", 27, "--out", tmp_path / "big_r.json"])
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert "out of memory" in done.stderr
+
+
+def test_unknown_backend_variable_is_ignored(tmp_path):
+    # the CLI reads no backend setting: a leftover FRAMEFIELD_BACKEND is inert
+    out = subprocess.run(
+        [sys.executable, "-m", "framefield.cli", "gen", "haar", "--p", "2",
+         "--out", str(tmp_path / "bank.json")],
+        env=_child_env(FRAMEFIELD_BACKEND="cuda"), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_verify_mixed_needs_dual(tmp_path):

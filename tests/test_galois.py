@@ -1,9 +1,11 @@
 """GF(p^c) digit arithmetic: axioms, bijections, and parameter validation."""
 
+import numpy as np
 import pytest
 
 from framefield.errors import ParameterError, RangeError
 from framefield.galois import (
+    DEFAULT_MODULI,
     FieldParams,
     GFElem,
     field_tables,
@@ -11,6 +13,7 @@ from framefield.galois import (
     gf_from_digit,
     gf_inv,
     gf_mul,
+    gf_neg,
     gf_one,
     gf_proj0,
     gf_to_digit,
@@ -111,16 +114,45 @@ def test_prime_field_mul_matches_integers(p):
             assert got == (a * b) % p
 
 
-def test_tables_match_elementwise_ops():
-    params = FieldParams(3, 2)
-    tab = field_tables(params)
+def _scalar_tables(params):
+    """The six tables through the scalar gf_* route, entry by entry."""
     elems = all_elems(params)
-    for i, a in enumerate(elems):
+    add = np.array([[gf_to_digit(gf_add(a, b)) for b in elems] for a in elems])
+    mul = np.array([[gf_to_digit(gf_mul(a, b)) for b in elems] for a in elems])
+    sub = np.array([[gf_to_digit(gf_add(a, gf_neg(b))) for b in elems] for a in elems])
+    neg = np.array([gf_to_digit(gf_neg(a)) for a in elems])
+    inv = np.array([0] + [gf_to_digit(gf_inv(a)) for a in elems[1:]])
+    proj0 = np.array([gf_proj0(a) for a in elems])
+    return {"add": add, "sub": sub, "mul": mul, "neg": neg, "inv": inv, "proj0": proj0}
+
+
+# every built-in modulus with q <= 32, and prime fields
+TABLE_FIELDS = [(2, 1), (3, 1), (31, 1)] + sorted(
+    key for key in DEFAULT_MODULI if key[0] ** key[1] <= 32
+)
+
+
+def test_tables_match_elementwise_ops():
+    for p, c in TABLE_FIELDS:
+        params = FieldParams(p, c)
+        tab = field_tables(params)
+        for name, ref in _scalar_tables(params).items():
+            assert np.array_equal(getattr(tab, name), ref), (p, c, name)
+
+
+@pytest.mark.parametrize("p, c", [(5, 3), (251, 1)])
+def test_large_tables_match_elementwise_ops_on_random_pairs(p, c, rng):
+    params = FieldParams(p, c)
+    tab = field_tables(params)
+    for i, j in rng.integers(0, params.q, size=(200, 2)):
+        a, b = gf_from_digit(params, int(i)), gf_from_digit(params, int(j))
+        assert tab.add[i, j] == gf_to_digit(gf_add(a, b))
+        assert tab.sub[i, j] == gf_to_digit(gf_add(a, gf_neg(b)))
+        assert tab.mul[i, j] == gf_to_digit(gf_mul(a, b))
+        assert tab.neg[i] == gf_to_digit(gf_neg(a))
         assert tab.proj0[i] == gf_proj0(a)
-        for j, b in enumerate(elems):
-            assert tab.add[i, j] == gf_to_digit(gf_add(a, b))
-            assert tab.mul[i, j] == gf_to_digit(gf_mul(a, b))
-            assert tab.sub[tab.add[i, j], j] == i
+        if i:
+            assert tab.inv[i] == gf_to_digit(gf_inv(a))
 
 
 def test_bad_params_rejected():

@@ -1,97 +1,20 @@
-"""Backend selection and numba/numpy kernel agreement."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The character transform against the definitional evaluation route."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from framefield import kernels
-from framefield.galois import FieldParams, field_tables
-from framefield.mask import _tmod
-
-
-def _random_problem(rng, q=3, s=4, na=9, nb=27):
-    a = rng.integers(0, q, size=(na, s)).astype(np.int64)
-    b = rng.integers(0, q, size=(nb, s)).astype(np.int64)
-    return a, b
-
-
-@pytest.mark.skipif(kernels.exponent_table_numba is None, reason="numba unavailable")
-def test_exponent_table_backends_agree(rng):
-    params = FieldParams(3, 2)
-    tmod = _tmod(params)
-    a, b = _random_problem(rng, q=params.q)
-    ref = kernels.exponent_table_numpy(a, b, tmod, params.p)
-    jit = kernels.exponent_table_numba(a, b, tmod, params.p)
-    assert np.array_equal(ref, jit)
-
-
-@pytest.mark.skipif(kernels.analysis_apply_numba is None, reason="numba unavailable")
-def test_transform_backends_agree(rng):
-    coeffs = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    signal = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    idx = rng.integers(0, 16, size=(5, 8)).astype(np.int64)
-    branches = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    a_np = kernels.analysis_apply_numpy(coeffs, signal, idx)
-    a_nb = kernels.analysis_apply_numba(coeffs, signal, idx)
-    assert np.allclose(a_np, a_nb, atol=1e-14, rtol=0)
-    s_np = kernels.synthesis_apply_numpy(coeffs, branches, idx, 16)
-    s_nb = kernels.synthesis_apply_numba(coeffs, branches, idx, 16)
-    assert np.allclose(s_np, s_nb, atol=1e-14, rtol=0)
-
-
-def _import_kernels(backend, code):
-    """Run ``code`` in a child with FRAMEFIELD_BACKEND=backend.
-
-    The child imports the framefield checkout under test: its ``src`` goes
-    first on PYTHONPATH, whichever way pytest found the package.
-    """
-    src = str(Path(kernels.__file__).resolve().parents[1])
-    env = dict(os.environ, FRAMEFIELD_BACKEND=backend)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def _last_line(text):
-    lines = text.strip().splitlines()
-    return lines[-1] if lines else ""
-
-
-try:
-    import numba  # noqa: F401
-except ImportError:  # absent, or installed but incompatible with numpy
-    HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = True
-
-
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_env_flag_selects_backend(backend):
-    out = _import_kernels(backend, "import framefield.kernels as k; print(k.BACKEND)")
-    if backend == "numpy" or HAVE_NUMBA:
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == backend
-        return
-    # Forcing numba where it does not import must refuse at import time,
-    # never fall back to numpy.
-    assert out.returncode != 0
-    assert out.stdout == ""
-    error = _last_line(out.stderr)
-    assert error.startswith(("ImportError:", "ModuleNotFoundError:")), out.stderr
-    assert "numba" in error.lower(), out.stderr
-
-
-def test_bad_env_flag_rejected():
-    out = _import_kernels("cuda", "import framefield.kernels")
-    assert out.returncode != 0
-    assert _last_line(out.stderr).startswith(
-        "ValueError: FRAMEFIELD_BACKEND must be 'numba', 'numpy' or 'auto'"
-    ), out.stderr
+from framefield.galois import FieldParams
+from framefield.localfield import FieldElement
+from framefield.mask import (
+    Mask,
+    covering_depth,
+    eval_mask,
+    mask_values_at_digits,
+    mask_values_on_grid,
+)
 
 
 def test_root_table_exactness():
@@ -100,3 +23,64 @@ def test_root_table_exactness():
     r5 = kernels.root_table(5)
     assert np.allclose(np.abs(r5), 1.0, atol=1e-15)
 
+
+@pytest.mark.parametrize("q, e", [(2, 0), (2, 5), (3, 3), (4, 2)])
+def test_character_transform_is_kronecker_power(rng, q, e):
+    factor = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    coeffs = rng.standard_normal((3, q ** e)) + 1j * rng.standard_normal((3, q ** e))
+    # the digit at power 0 cycles fastest, so it is the last Kronecker factor
+    dense = np.ones((1, 1))
+    for _ in range(e):
+        dense = np.kron(factor, dense)
+    out = kernels.character_transform(coeffs, factor)
+    assert np.allclose(out, coeffs @ dense, atol=1e-12, rtol=0)
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]
+
+
+@st.composite
+def evaluation_problems(draw):
+    """Masks of strides 1, q and q^2 (some zero), and digit rows of a width
+    below, at or above the masks' covering depth."""
+    params = FieldParams(*draw(st.sampled_from(FIELDS)))
+    q = params.q
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 12))
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        masks.append(Mask(params, coeffs, q ** draw(st.integers(0, 2))))
+    depth = covering_depth(max(m.max_index for m in masks), q)
+    width = max(0, depth + draw(st.integers(-2, 1)))
+    rows = rng.integers(0, q, size=(draw(st.integers(1, 8)), width))
+    if q ** width <= 27:
+        full = (np.arange(q ** width)[:, None] // q ** np.arange(width)) % q
+        rows = np.concatenate([rows, full])
+    return params, masks, rows.astype(np.int64)
+
+
+@given(evaluation_problems())
+def test_values_at_digits_match_eval_mask(problem):
+    params, masks, rows = problem
+    values = mask_values_at_digits(masks, rows)
+    points = [FieldElement(params, 0, tuple(int(d) for d in row)) for row in rows]
+    ref = np.array([[eval_mask(m, x) for x in points] for m in masks])
+    assert np.abs(values - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p, c", [(2, 1), (3, 1), (2, 2)])
+def test_lifted_grid_values_match_eval_mask(rng, p, c):
+    # values at t**lift * x: the coset representatives of the polyphase and
+    # paraunitary sweeps are the lift = 1 case
+    params = FieldParams(p, c)
+    q = params.q
+    masks = [Mask(params, rng.standard_normal(n) + 1j * rng.standard_normal(n), stride)
+             for n, stride in [(q * q + 1, 1), (q + 2, q), (3, q * q)]]
+    for lift in (1, 2):
+        for depth in (0, 1, 2):
+            values = mask_values_on_grid(masks, depth, lift=lift)
+            for g in range(q ** depth):
+                x = FieldElement(params, lift, tuple((g // q ** i) % q for i in range(depth)))
+                for m, value in zip(masks, values[:, g]):
+                    assert abs(value - eval_mask(m, x)) <= 1e-13

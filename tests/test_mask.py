@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from framefield.construct import haar_bank, random_bank
-from framefield.errors import DepthError, ParameterError
+from framefield.errors import DepthError, ParameterError, SizeError
 from framefield.galois import FieldParams
 from framefield.localfield import (
     chi_n,
@@ -34,6 +34,7 @@ from framefield.mask import (
     mask_add,
     mask_mul,
     mask_scale,
+    mask_values_at_digits,
     mask_values_on_grid,
     modulation_matrix,
     polyphase_matrix,
@@ -65,6 +66,16 @@ def test_grid_kernel_matches_exact_eval(p3, rng):
     for i, m in enumerate(masks):
         for g, xi in enumerate(grid(p3, 2)):
             assert values[i, g] == pytest.approx(eval_mask(m, xi), abs=1e-13)
+
+
+def test_evaluation_grid_cap():
+    # 70000 slots at q = 251 need the 251**3-point grid, past the cap
+    m = Mask(FieldParams(251, 1), np.ones(70000))
+    with pytest.raises(SizeError):
+        mask_values_at_digits([m], np.zeros((1, 3), dtype=np.int64))
+    with pytest.raises(SizeError):
+        mask_values_on_grid([m], 3)
+    assert mask_values_on_grid([m], 1).shape == (1, 251)
 
 
 def test_mask_constant_on_cosets(p2, rng):
