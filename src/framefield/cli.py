@@ -75,7 +75,8 @@ def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["metadata"] = {"created": _now()}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # no indent: json's C encoder handles only compact output
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_json(path: Path) -> dict:
@@ -129,6 +130,8 @@ def cmd_verify(args) -> int:
     bank = FilterBank.from_json(_load_json(path))
     wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
     known = {"uep", "subqmf", "polyphase", "mixed"}
+    if not wanted:
+        raise ParameterError("no checks requested")
     unknown = set(wanted) - known
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
@@ -281,19 +284,13 @@ def cmd_experiment(args) -> int:
     }
     provenance = {"algorithm": f"experiment:{args.kind}", "inputs": inputs, "config": config}
 
-    if args.kind == "parseval":
-        report = parseval_experiment(
-            bank, args.signal_size, args.levels, args.trials, tol, args.seed
-        )
-        rows = [(i, dev) for i, dev in enumerate(report.details["per_trial"])]
-        _write_csv(csv_path, ("trial", "deviation"), rows)
-        reports = [report]
-    elif args.kind == "mixed":
-        report = mixed_frame_experiment(
-            pair, args.signal_size, args.levels, args.trials, tol, args.seed
-        )
-        rows = [(i, ratio) for i, ratio in enumerate(report.details["per_trial"])]
-        _write_csv(csv_path, ("trial", "ratio"), rows)
+    if args.kind in ("parseval", "mixed"):
+        sizes = (args.signal_size, args.levels, args.trials, tol, args.seed)
+        if args.kind == "parseval":
+            report, column = parseval_experiment(bank, *sizes), "deviation"
+        else:
+            report, column = mixed_frame_experiment(pair, *sizes), "ratio"
+        _write_csv(csv_path, ("trial", column), list(enumerate(report.details["per_trial"])))
         reports = [report]
     elif args.kind == "cascade":
         hat = cascade_phihat(bank.m0, args.levels, args.hat_neg, args.hat_pos)

@@ -10,12 +10,14 @@ outputs orthogonal, because distinct columns are pointwise orthonormal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, ParameterError
-from .galois import FieldParams, field_tables
+from .galois import FieldParams
+from .localfield import index_sub
 from .mask import (
     CheckReport,
     FilterBank,
@@ -23,19 +25,18 @@ from .mask import (
     character_table,
     check_mixed_orthogonality,
     check_uep,
+    coset_values,
     covering_depth,
     delta_mask,
     gram_deviation,
-    mask_add,
-    mask_mul,
+    masks_from_symbols,
     representative_symbols,
     sweep_report,
-    trim_mask,
     zero_mask,
     DEFAULT_MATRIX_TOL,
+    TRIM_CUTOFF,
 )
 
-TRIM_CUTOFF = 1e-14
 GRAM_SCHMIDT_RETRIES = 8
 
 
@@ -92,11 +93,24 @@ class Paraunitary:
         stride-q entries ignore the digit at power 0, so each coset
         representative decides its q points."""
         depth = self.depth()
-        flat = [m for row in self.entries for m in row]
-        a = representative_symbols(flat, depth).reshape(self.size, self.size, -1)
-        dev = gram_deviation(a.transpose(0, 2, 1))
+        dev = gram_deviation(self.symbols(depth).transpose(1, 0, 2))
         q = self.params.q
         return sweep_report("paraunitary", depth, depth, np.repeat(dev, q), tol, self.params)
+
+    def symbols(self, depth: int) -> np.ndarray:
+        """Entry symbols at the depth-s coset representatives, (R, size, size)."""
+        flat = [m for row in self.entries for m in row]
+        values = representative_symbols(flat, depth).reshape(self.size, self.size, -1)
+        return values.transpose(2, 0, 1)
+
+    @classmethod
+    def from_symbols(cls, params: FieldParams, symbols: np.ndarray) -> "Paraunitary":
+        """The matrix whose entry symbols at the coset representatives of
+        some depth are the (R, size, size) stack ``symbols``, certified."""
+        size = symbols.shape[1]
+        rows = symbols.transpose(1, 2, 0).reshape(size * size, -1)
+        flat = masks_from_symbols(params, rows, [params.q] * size * size, lift=1)
+        return cls(params, size, tuple(flat[i * size : (i + 1) * size] for i in range(size)))
 
     def to_json(self) -> dict:
         return {
@@ -118,26 +132,24 @@ class Paraunitary:
             raise ParameterError(f"bad paraunitary object: {exc}") from exc
 
 
-def _qr_unitary(rng: np.random.Generator, size: int) -> np.ndarray | None:
-    z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    qmat, rmat = np.linalg.qr(z)
-    diag = np.diagonal(rmat)
-    if np.min(np.abs(diag)) < 1e-8:
-        return None
-    return qmat * (diag / np.abs(diag))
+def _seeded_unitary(size: int, *key: int) -> np.ndarray:
+    """Gram-Schmidt of a random complex matrix drawn from the seed ``key``,
+    redrawn while a pivot is near zero."""
+    if size < 1:
+        raise ParameterError("size must be at least 1")
+    for attempt in range(GRAM_SCHMIDT_RETRIES):
+        rng = np.random.default_rng([*key, attempt])
+        z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        qmat, rmat = np.linalg.qr(z)
+        diag = np.diagonal(rmat)
+        if np.min(np.abs(diag)) >= 1e-8:
+            return qmat * (diag / np.abs(diag))
+    raise ConstructionError("Gram-Schmidt failed for every reseeding attempt")
 
 
 def constant_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary:
     """Gram-Schmidt of a seeded random complex matrix, as constant symbols."""
-    if size < 1:
-        raise ParameterError("size must be at least 1")
-    unitary = None
-    for attempt in range(GRAM_SCHMIDT_RETRIES):
-        unitary = _qr_unitary(np.random.default_rng([0xC0, seed, attempt]), size)
-        if unitary is not None:
-            break
-    if unitary is None:
-        raise ConstructionError("Gram-Schmidt failed for every reseeding attempt")
+    unitary = _seeded_unitary(size, 0xC0, seed)
     q = params.q
     entries = tuple(
         tuple(delta_mask(params, unitary[i, j], slot=0, stride=q) for j in range(size))
@@ -153,35 +165,18 @@ def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Pa
     if delay < 0:
         raise ParameterError("delay must be non-negative")
     q = params.q
-    entries = []
+    entries = [[zero_mask(params, q) for _ in range(size)] for _ in range(size)]
     for i in range(size):
-        row = []
-        for j in range(size):
-            if i != j:
-                row.append(zero_mask(params, q))
-            elif i == position:
-                row.append(delta_mask(params, 1.0, slot=delay, stride=q))
-            else:
-                row.append(delta_mask(params, 1.0, slot=0, stride=q))
-        entries.append(tuple(row))
-    return Paraunitary(params, size, tuple(entries))
+        entries[i][i] = delta_mask(params, 1.0, slot=delay if i == position else 0, stride=q)
+    return Paraunitary(params, size, entries)
 
 
 def mask_adjoint(m: Mask) -> Mask:
     """Mask of the conjugated symbol: conjugate coefficients at negated indices."""
-    from .localfield import index_sub
-
-    if m.is_zero():
-        return m
-    slots = {}
-    for slot, u in enumerate(m.coeffs):
-        if u == 0:
-            continue
-        neg = index_sub(m.params, 0, slot * m.stride)
-        slots[neg // m.stride] = np.conj(u)
-    coeffs = np.zeros(max(slots) + 1, dtype=np.complex128)
-    for slot, u in slots.items():
-        coeffs[slot] = u
+    occupied = np.flatnonzero(m.coeffs)
+    slots = [index_sub(m.params, 0, int(k) * m.stride) // m.stride for k in occupied]
+    coeffs = np.zeros(max(slots, default=-1) + 1, dtype=np.complex128)
+    coeffs[slots] = np.conj(m.coeffs[occupied])  # negation permutes the slots
     return Mask(m.params, coeffs, m.stride)
 
 
@@ -194,35 +189,32 @@ def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
 
 
 def compose(a: Paraunitary, b: Paraunitary) -> Paraunitary:
-    """Entry-wise mask product of two paraunitary matrices (a then b: A*B)."""
+    """Entry-wise mask product of two paraunitary matrices (a then b: A*B),
+    as one matrix product per coset representative of the covering depth."""
     if a.params != b.params or a.size != b.size:
         raise ParameterError("composed matrices must share field and size")
-    size = a.size
-    entries = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = zero_mask(a.params, a.params.q)
-            for k in range(size):
-                acc = mask_add(acc, mask_mul(a.entries[i][k], b.entries[k][j]))
-            row.append(trim_mask(acc, TRIM_CUTOFF))
-        entries.append(tuple(row))
-    return Paraunitary(a.params, size, tuple(entries))
+    depth = covering_depth(max(a.max_index, b.max_index), a.params.q)
+    return Paraunitary.from_symbols(a.params, a.symbols(depth) @ b.symbols(depth))
 
 
 def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary:
     """Deterministic mix of constant unitaries and unit delay blocks.
 
     At most two delay factors, so symbol supports stay small enough for the
-    default experiment signal sizes.
+    default experiment signal sizes.  The factors are multiplied as symbol
+    samples at the coset representatives, and the product is transformed
+    back and certified once.
     """
     rng = np.random.default_rng([0x9A, seed])
-    out = constant_paraunitary(params, size, seed)
+    # the unit delay reaches index q, and carry-free products stay on the
+    # grid that covers their factors: every factor is sampled at depth 2
+    delay = representative_symbols([delta_mask(params, 1.0, slot=1, stride=params.q)], 2)[0]
+    prod = np.repeat(_seeded_unitary(size, 0xC0, seed)[None], len(delay), axis=0)
     for step in range(int(rng.integers(1, 3))):
         position = int(rng.integers(size))
-        out = compose(out, delay_block(params, size, position, 1))
-        out = compose(out, constant_paraunitary(params, size, seed + step + 1))
-    return out
+        prod[:, :, position] *= delay[:, None]  # times delay_block(params, size, position, 1)
+        prod = prod @ _seeded_unitary(size, 0xC0, seed + step + 1)
+    return Paraunitary.from_symbols(params, prod)
 
 
 @dataclass(frozen=True)
@@ -258,16 +250,21 @@ class FramePair:
         return cls(primal, dual)
 
 
+def _product_symbols(matrix: Paraunitary, wavelets):
+    """Samples for products of matrix entries with wavelet masks on the grid
+    that covers both: entry symbols at the coset representatives,
+    (R, size, size), and wavelet symbols on the grid, (L, R, q)."""
+    q = matrix.params.q
+    depth = covering_depth(max([matrix.max_index] + [w.max_index for w in wavelets]), q)
+    return matrix.symbols(depth), coset_values(wavelets, depth) * math.sqrt(q)
+
+
 def _mix_wavelets(matrix: Paraunitary, column_offset: int, wavelets) -> list:
     """Row k of the output: sum_l entries[k][column_offset+l] * wavelets[l]."""
-    length = len(wavelets)
-    out = []
-    for k in range(matrix.size):
-        acc = zero_mask(matrix.params, 1)
-        for l in range(length):
-            acc = mask_add(acc, mask_mul(matrix.entries[k][column_offset + l], wavelets[l]))
-        out.append(trim_mask(acc, TRIM_CUTOFF))
-    return out
+    entries, values = _product_symbols(matrix, wavelets)
+    block = entries[:, :, column_offset : column_offset + len(wavelets)]
+    out = np.einsum("Rkl,lRa->kRa", block, values).reshape(matrix.size, -1)
+    return masks_from_symbols(matrix.params, out, [1] * matrix.size)
 
 
 def derive_pair(
@@ -322,12 +319,14 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
     report = check_uep(bank, bank_depth(bank))
     if not report.passed:
         raise ConstructionError("input bank fails the tight-frame check", report)
+    entries, values = _product_symbols(matrix, bank.wavelets)
     families = []
-    for r in range(matrix.size):
-        wavelets = []
-        for m_n in bank.wavelets:
-            for l in range(matrix.size):
-                wavelets.append(trim_mask(mask_mul(matrix.entries[l][r], m_n), TRIM_CUTOFF))
+    for c in range(matrix.size):
+        # products [n, l] = entries[l][c] * wavelet n, on the two strides' common lattice
+        out = np.einsum("Rl,nRa->nlRa", entries[:, :, c], values)
+        strides = [math.gcd(matrix.entries[l][c].stride, m_n.stride)
+                   for m_n in bank.wavelets for l in range(matrix.size)]
+        wavelets = masks_from_symbols(bank.params, out.reshape(len(strides), -1), strides)
         families.append(FilterBank(bank.params, bank.m0, tuple(wavelets)))
     return families
 
@@ -356,13 +355,7 @@ def random_bank(
     """
     q = params.q
     rng = np.random.default_rng([0xBA, seed])
-    unitary_matrix = None
-    for attempt in range(GRAM_SCHMIDT_RETRIES):
-        unitary_matrix = _qr_unitary(np.random.default_rng([0xBB, seed, attempt]), q)
-        if unitary_matrix is not None:
-            break
-    if unitary_matrix is None:
-        raise ConstructionError("could not draw a unitary coefficient matrix")
+    unitary_matrix = _seeded_unitary(q, 0xBB, seed)
     delays = rng.integers(0, max_delay + 1, size=q) if max_delay else np.zeros(q, dtype=int)
     length = int(q * delays.max() + q)
     coeffs = np.zeros((q, length), dtype=np.complex128)

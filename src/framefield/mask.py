@@ -31,7 +31,6 @@ from .localfield import (
     chi_n,
     fe_prime_power,
     grid_point,
-    index_add,
     lf_add,
     lf_mul,
     u_map,
@@ -39,6 +38,8 @@ from .localfield import (
 
 DEFAULT_MATRIX_TOL = 1e-10
 DEFAULT_CASCADE_TOL = 1e-8
+# coefficients the symbol-domain algebra leaves below this are rounding
+TRIM_CUTOFF = 1e-14
 
 
 def _is_power_of(value: int, base: int) -> bool:
@@ -360,6 +361,24 @@ def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
     return values
 
 
+def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: int = 0) -> list:
+    """Inverse of sqrt(q) * mask_values_on_grid(masks, e, lift): the masks
+    whose symbol values at t**lift * x, for x on the depth-e grid in grid
+    order, are the rows of ``symbols`` (M, q**e).
+
+    One inverse character transform gives each row's coefficients on the
+    lattice q**lift * N0; a mask of stride s keeps every (s / q**lift)-th of
+    them (the others hold only rounding), and coefficients below
+    TRIM_CUTOFF become zero.
+    """
+    # F is sqrt(q) times a unitary table, so F**-1 = conj(F).T / q
+    inverse = np.conj(_character_factor(params)).T / params.q
+    coeffs = kernels.character_transform(symbols, inverse)
+    coeffs = np.where(np.abs(coeffs) < TRIM_CUTOFF, 0.0, coeffs)
+    base = params.q ** lift
+    return [Mask(params, row[:: s // base], s) for row, s in zip(coeffs, strides)]
+
+
 @functools.lru_cache(maxsize=None)
 def _shift_map_cached(params: FieldParams, depth: int) -> np.ndarray:
     """SHIFT[g, k] = grid index of xi_g + t*u(k): digit 0 moves by k in GF(q)."""
@@ -383,28 +402,20 @@ def shift_map(params: FieldParams, depth: int) -> np.ndarray:
 def mask_mul(a: Mask, b: Mask) -> Mask:
     """Product of two symbols as a mask: convolution under the carry-free
     index group, so that eval(result) = sqrt(q) * eval(a) * eval(b).
+
+    The product of the two symbol samples on the grid that covers both
+    supports, transformed back (coefficients below TRIM_CUTOFF become zero).
     """
     if a.params != b.params:
         raise ParameterError("masks belong to different fields")
-    params = a.params
-    out_stride = math.gcd(a.stride, b.stride)
-    acc: dict[int, complex] = {}
-    for j, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for k, y in enumerate(b.coeffs):
-            if y == 0:
-                continue
-            n = index_add(params, j * a.stride, k * b.stride)
-            slot, rem = divmod(n, out_stride)
-            assert rem == 0, "carry-free sum left the common index lattice"
-            acc[slot] = acc.get(slot, 0.0 + 0.0j) + x * y
-    if not acc:
-        return zero_mask(params, out_stride)
-    coeffs = np.zeros(max(acc) + 1, dtype=np.complex128)
-    for slot, value in acc.items():
-        coeffs[slot] = value
-    return Mask(params, coeffs, out_stride)
+    q = a.params.q
+    stride = math.gcd(a.stride, b.stride)
+    lift = round(math.log(stride, q))
+    # carry-free sums add digits position by position, so the product's
+    # support fits the grid that covers both factors
+    depth = covering_depth(max(a.max_index, b.max_index) // stride, q)
+    sa, sb = mask_values_on_grid([a, b], depth, lift) * math.sqrt(q)
+    return masks_from_symbols(a.params, (sa * sb)[None], [stride], lift)[0]
 
 
 def mask_add(a: Mask, b: Mask) -> Mask:
@@ -426,7 +437,7 @@ def mask_scale(m: Mask, scalar: complex) -> Mask:
     return Mask(m.params, m.coeffs * scalar, m.stride)
 
 
-def trim_mask(m: Mask, cutoff: float = 1e-14) -> Mask:
+def trim_mask(m: Mask, cutoff: float = TRIM_CUTOFF) -> Mask:
     """Zero out coefficients below ``cutoff`` in magnitude."""
     coeffs = np.where(np.abs(m.coeffs) < cutoff, 0.0, m.coeffs)
     return Mask(m.params, coeffs, m.stride)

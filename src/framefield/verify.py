@@ -101,6 +101,10 @@ def cascade_phihat(
     of integers for every grid point; the first such j is recorded as
     ``stabilized_at`` (the product is exact from there on).
     """
+    if iterations < 1:
+        raise ParameterError(f"cascade iterations must be at least 1, got {iterations}")
+    if j_neg < 0 or j_pos < 0:
+        raise ParameterError(f"hat window bounds must be non-negative, got {j_neg} and {j_pos}")
     params = m0.params
     value0 = eval_mask(m0, fe_zero(params))
     if abs(value0 - 1.0) > 1e-12:
@@ -278,6 +282,22 @@ def decomposition_rows(signal: np.ndarray, bank: FilterBank, levels: int):
     return rows
 
 
+def _trial_report(condition, per_trial, size_exponent, levels, seed, tol) -> CheckReport:
+    worst_trial = int(np.argmax(per_trial))
+    worst = float(per_trial[worst_trial])
+    details = {"levels": levels, "trials": len(per_trial), "seed": seed,
+               "worst_trial": worst_trial, "per_trial": per_trial}
+    return CheckReport(condition, size_exponent, worst, tol, bool(worst <= tol), None, details)
+
+
+def _require_sizes(size_exponent: int, levels: int, trials: int) -> None:
+    """Signal size, levels and trials must each be at least 1: below that
+    an experiment checks nothing."""
+    for name, value in (("signal size", size_exponent), ("levels", levels), ("trials", trials)):
+        if value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
 def _require_uep(bank: FilterBank, label: str) -> None:
     report = check_uep(bank, bank_depth(bank))
     if not report.passed:
@@ -299,6 +319,7 @@ def parseval_experiment(
     Banks that fail the tight-frame precondition are rejected unless
     ``enforce_precondition`` is disabled to measure their energy drift.
     """
+    _require_sizes(size_exponent, levels, trials)
     if enforce_precondition:
         _require_uep(bank, "input")
     if levels >= size_exponent:
@@ -316,23 +337,7 @@ def parseval_experiment(
             acc += float(np.sum(np.abs(branches[1:]) ** 2))
         acc += float(np.vdot(s, s).real)
         per_trial.append(abs(acc - total) / total)
-    worst_trial = int(np.argmax(per_trial))
-    worst = float(per_trial[worst_trial])
-    return CheckReport(
-        condition="parseval",
-        grid_depth=size_exponent,
-        max_deviation=worst,
-        tolerance=tol,
-        passed=bool(worst <= tol),
-        worst_point=None,
-        details={
-            "levels": levels,
-            "trials": trials,
-            "seed": seed,
-            "worst_trial": worst_trial,
-            "per_trial": per_trial,
-        },
-    )
+    return _trial_report("parseval", per_trial, size_exponent, levels, seed, tol)
 
 
 def mixed_frame_experiment(
@@ -348,6 +353,7 @@ def mixed_frame_experiment(
     only the wavelet branches with the dual bank (the final scaling branch is
     dropped), and report max ||output|| / ||input|| over random signals.
     Orthogonal pairs give ratios at numerical zero."""
+    _require_sizes(size_exponent, levels, trials)
     if enforce_precondition:
         _require_uep(pair.primal, "primal")
         _require_uep(pair.dual, "dual")
@@ -368,23 +374,7 @@ def mixed_frame_experiment(
             merged = np.vstack([r[None, :], wavelet_branches])
             r = synthesis_step(merged, pair.dual)
         per_trial.append(float(np.linalg.norm(r) / np.linalg.norm(v)))
-    worst_trial = int(np.argmax(per_trial))
-    worst = float(per_trial[worst_trial])
-    return CheckReport(
-        condition="mixed_frame",
-        grid_depth=size_exponent,
-        max_deviation=worst,
-        tolerance=tol,
-        passed=bool(worst <= tol),
-        worst_point=None,
-        details={
-            "levels": levels,
-            "trials": trials,
-            "seed": seed,
-            "worst_trial": worst_trial,
-            "per_trial": per_trial,
-        },
-    )
+    return _trial_report("mixed_frame", per_trial, size_exponent, levels, seed, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -291,3 +291,48 @@ def test_determinism_modulo_metadata(tmp_path):
 def test_cli_rejects_bad_flags():
     assert run(["gen", "haar", "--p", "two"]) == 2
     assert run(["nonsense"]) == 2
+
+
+def test_verify_rejects_empty_check_list(tmp_path):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    for checks in ("", " , "):
+        assert run(["verify", bank, "--checks", checks, "--out", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def _experiment_sources(tmp_path):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    pair_file = tmp_path / "pair.json"
+    run(["pair", "--primal", bank, "--dual", bank, "--seed", 2, "--out", pair_file])
+    return {"parseval": ["--bank", bank], "mixed": ["--pair", pair_file]}
+
+
+@pytest.mark.parametrize("kind", ["parseval", "mixed"])
+@pytest.mark.parametrize(
+    "sizes",
+    [["--trials", 0], ["--levels", 0], ["--signal-size", -1, "--levels", -2]],
+    ids=["no-trials", "no-levels", "negative-sizes"],
+)
+def test_experiment_rejects_empty_sizes(tmp_path, capsys, kind, sizes):
+    source = _experiment_sources(tmp_path)[kind]
+    out = tmp_path / "exp.json"
+    assert run(["experiment", "--kind", kind, *source, *sizes, "--out", out]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["cascade", "partition"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--hat-neg", -1, "non-negative"), ("--hat-pos", -1, "non-negative"),
+     ("--levels", 0, "at least 1")],
+)
+def test_experiment_rejects_bad_hat_window(tmp_path, capsys, kind, flag, value, message):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    out = tmp_path / "exp.json"
+    assert run(["experiment", "--kind", kind, "--bank", bank, flag, value, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """The character transform against the definitional evaluation route."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,10 +12,12 @@ from framefield.galois import FieldParams
 from framefield.localfield import FieldElement
 from framefield.mask import (
     Mask,
+    character_table,
     covering_depth,
     eval_mask,
     mask_values_at_digits,
     mask_values_on_grid,
+    masks_from_symbols,
 )
 
 
@@ -34,6 +38,32 @@ def test_character_transform_is_kronecker_power(rng, q, e):
         dense = np.kron(factor, dense)
     out = kernels.character_transform(coeffs, factor)
     assert np.allclose(out, coeffs @ dense, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("p, c, e", [(2, 1, 6), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
+def test_inverse_transform_recovers_coefficients(rng, p, c, e):
+    # F = sqrt(q) * (unitary table), so the inverse factor is conj(F).T / q
+    q = p ** c
+    factor = character_table(FieldParams(p, c)) * math.sqrt(q)
+    coeffs = rng.standard_normal((3, q ** e)) + 1j * rng.standard_normal((3, q ** e))
+    values = kernels.character_transform(coeffs, factor)
+    back = kernels.character_transform(values, np.conj(factor).T / q)
+    assert np.abs(back - coeffs).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p, c", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("lift", [0, 1])
+def test_masks_from_symbols_inverts_grid_values(rng, p, c, lift):
+    params = FieldParams(p, c)
+    q = params.q
+    base = q ** lift
+    masks = [Mask(params, rng.standard_normal(n) + 1j * rng.standard_normal(n), stride)
+             for n, stride in [(q * q, base), (q + 2, base * q), (2, base * q * q), (0, base)]]
+    depth = covering_depth(max(m.max_index for m in masks) // base, q)
+    symbols = mask_values_on_grid(masks, depth, lift=lift) * math.sqrt(q)
+    for got, want in zip(masks_from_symbols(params, symbols, [m.stride for m in masks], lift), masks):
+        assert got.stride == want.stride and len(got) == len(want)
+        assert np.abs(got.coeffs - want.coeffs).max(initial=0.0) <= 1e-13
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]
