@@ -71,19 +71,30 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _open_output(path: Path):
+    """``path`` opened for writing, its parent directories created."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["metadata"] = {"created": _now()}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # no indent: json's C encoder handles only compact output
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    with _open_output(path) as handle:
+        # no indent: json's C encoder handles only compact output
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_json(path: Path) -> dict:
     try:
         return json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ParameterError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -208,7 +219,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_family(args) -> int:
-    bank_path = Path(args.bank)
+    bank_path, out_dir = Path(args.bank), Path(args.out_dir)
     bank = FilterBank.from_json(_load_json(bank_path))
     tol = _positive(args.tol, "tolerance")
     size = args.size or 2
@@ -217,16 +228,12 @@ def cmd_family(args) -> int:
         families = orthogonal_family(bank, matrix)
     except ConstructionError as exc:
         print(f"construction rejected: {exc}", file=sys.stderr)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if exc.report is not None:
             _write_json(out_dir / "reports.json", {"rejected": str(exc), "report": exc.report.to_json()})
         return EXIT_CHECK_FAILED
     depth = args.depth if args.depth else None
     reports = certify_family(families, depth, tol)
     _print_reports(reports)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {str(bank_path): _sha256(bank_path)}
     inputs.update(extra_inputs)
     provenance = {
@@ -247,8 +254,7 @@ def cmd_family(args) -> int:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
+    with _open_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

@@ -128,7 +128,7 @@ class Paraunitary:
                 tuple(Mask.from_json(params, m) for m in row) for row in obj["entries"]
             )
             return cls(params, int(obj["size"]), entries)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"bad paraunitary object: {exc}") from exc
 
 

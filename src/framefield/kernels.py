@@ -1,4 +1,4 @@
-"""Numeric kernels: the character transform and the filter-bank transforms.
+"""Numeric kernels: the character transform and the dense filter-bank reference.
 
 Characters factor digit by digit: for indices and points below q^e,
 chi_j(x) is a product over the e digit positions of one q-by-q table.  The
@@ -10,8 +10,10 @@ I. J. Good's Kronecker factorization): O(M e q^(e+1)) time and O(M q^e)
 memory for M rows.
 
 ``exponent_table`` and ``conj_char_matrix`` build that q-by-q table from
-the field's exponent table; ``analysis_apply`` and ``synthesis_apply`` are
-the one-level analysis and synthesis transforms of a filter bank.
+the field's exponent table.  ``analysis_apply`` and ``synthesis_apply`` are
+the dense gather/scatter reference for one filter-bank level (the package
+runs it as polyphase products in ``verify``); tests compare against them,
+and ``perfbench/tracer.py`` hooks them by name.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ handling anywhere.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import kernels
 from .construct import FramePair, bank_depth, covering_depth
 from .errors import ConstructionError, CoverageError, DepthError, ParameterError
-from .galois import FieldParams, field_tables
+from .galois import FieldParams
 from .localfield import FieldElement, fe_zero, grid_digits, grid_point
 from .mask import (
     DEFAULT_CASCADE_TOL,
@@ -27,6 +26,9 @@ from .mask import (
     CheckReport,
     FilterBank,
     Mask,
+    _character_factor,
+    _fold,
+    _grid_transform,
     check_uep,
     eval_mask,
     mask_values_on_grid,
@@ -184,21 +186,6 @@ def partition_of_unity_check(
 # discrete transforms under the carry-free group
 
 
-@functools.lru_cache(maxsize=None)
-def _upsample_indices(params: FieldParams, levels: int, support: int) -> np.ndarray:
-    """idx[m, k] = m boxplus q*k, for m < support and k < q**(levels-1)."""
-    q = params.q
-    add = field_tables(params).add
-    m = np.arange(support, dtype=np.int64)
-    k = np.arange(q ** (levels - 1), dtype=np.int64)
-    out = np.repeat((m % q)[:, None], len(k), axis=1)
-    for j in range(1, levels):
-        mj = (m // q ** j) % q
-        kj = (k // q ** (j - 1)) % q
-        out = out + add[mj[:, None], kj[None, :]] * q ** j
-    return out
-
-
 def _signal_levels(params: FieldParams, n: int) -> int:
     q = params.q
     levels = 0
@@ -221,65 +208,64 @@ def _coeff_matrix(bank: FilterBank) -> np.ndarray:
     return out
 
 
+def _component_symbols(bank: FilterBank, n: int) -> np.ndarray:
+    """Symbols of the polyphase components h_{l,r}[j] = coeffs_l[r + q*j]
+    on the index group of n/q points, as a table (q**e, L+1, q) over the
+    components' covering depth e: point x reads row x mod q**e."""
+    params = bank.params
+    q = params.q
+    levels = _signal_levels(params, n)
+    if levels < 1:
+        raise DepthError("signal must have at least q samples")
+    coeffs = _coeff_matrix(bank)
+    if coeffs.shape[1] > n:
+        raise DepthError(f"mask support {coeffs.shape[1]} exceeds signal length {n}")
+    rows = _fold(coeffs, q).transpose(0, 2, 1).reshape(len(coeffs) * q, -1)
+    values, e = _grid_transform(params, rows, levels - 1)
+    return (values * math.sqrt(q)).reshape(len(coeffs), q, q ** e).transpose(2, 0, 1)
+
+
+def _symbol_product(params: FieldParams, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Inverse transform of table[x mod R] @ (transforms of ``rows`` at x)
+    for every point x, R = len(table): one matrix product per x mod R."""
+    factor = _character_factor(params)
+    spectra = kernels.character_transform(rows, factor)
+    m, n = spectra.shape
+    products = table @ spectra.reshape(m, -1, len(table)).transpose(2, 0, 1)
+    inverse = np.conj(factor).T / params.q
+    return kernels.character_transform(products.transpose(1, 2, 0).reshape(-1, n), inverse)
+
+
 def analysis_step(signal: np.ndarray, bank: FilterBank) -> np.ndarray:
     """One analysis level: branch l, slot k gets
     sum_n conj(coeffs_l[n boxminus q*k]) * signal[n].
 
     Returns an array of shape (L+1, len(signal)/q); row 0 is the scaling
-    branch.
+    branch.  As n = r + q*n' gives n boxminus q*k = r + q*(n' boxminus k),
+    branch l sums over r the correlations of h_{l,r} with the component
+    s_r[j] = signal[r + q*j]: sum_r conj(H_{l,r}) * S_r in the character
+    domain.
     """
     signal = np.asarray(signal, dtype=np.complex128)
-    levels = _signal_levels(bank.params, len(signal))
-    if levels < 1:
-        raise DepthError("signal must have at least q samples")
-    coeffs = _coeff_matrix(bank)
-    if coeffs.shape[1] > len(signal):
-        raise DepthError(
-            f"mask support {coeffs.shape[1]} exceeds signal length {len(signal)}"
-        )
-    idx = _upsample_indices(bank.params, levels, coeffs.shape[1])
-    return kernels.analysis_apply(coeffs, signal, idx)
+    table = _component_symbols(bank, len(signal))
+    return _symbol_product(bank.params, np.conj(table), signal.reshape(-1, bank.params.q).T)
 
 
 def synthesis_step(branches: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Adjoint of :func:`analysis_step`: scatter branch samples back onto the
-    fine grid through the mask coefficients."""
+    """Adjoint of :func:`analysis_step`: output component r is the sum over
+    l of the convolutions of h_{l,r} with branch l, sum_l H_{l,r} * B_l in
+    the character domain."""
     branches = np.asarray(branches, dtype=np.complex128)
     if branches.ndim != 2 or branches.shape[0] != len(bank.masks):
         raise ParameterError("branches must be an (L+1, n/q) array matching the bank")
-    q = bank.params.q
-    n_out = branches.shape[1] * q
-    levels = _signal_levels(bank.params, n_out)
-    coeffs = _coeff_matrix(bank)
-    if coeffs.shape[1] > n_out:
-        raise DepthError(f"mask support {coeffs.shape[1]} exceeds signal length {n_out}")
-    idx = _upsample_indices(bank.params, levels, coeffs.shape[1])
-    return kernels.synthesis_apply(coeffs, branches, idx, n_out)
+    n_out = branches.shape[1] * bank.params.q
+    table = _component_symbols(bank, n_out)
+    return _symbol_product(bank.params, table.transpose(0, 2, 1), branches).T.reshape(n_out)
 
 
 def random_signal(params: FieldParams, size_exponent: int, rng: np.random.Generator) -> np.ndarray:
     n = params.q ** size_exponent
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def decomposition_rows(signal: np.ndarray, bank: FilterBank, levels: int):
-    """Full analysis cascade as plot-ready rows (level, branch, k, re, im).
-
-    Branch 0 is the scaling branch; only its final level is emitted, matching
-    the frame expansion the wavelet rows represent.
-    """
-    rows = []
-    s = np.asarray(signal, dtype=np.complex128)
-    for level in range(1, levels + 1):
-        branches = analysis_step(s, bank)
-        s = branches[0]
-        for branch in range(1, branches.shape[0]):
-            for k in range(branches.shape[1]):
-                z = branches[branch, k]
-                rows.append((level, branch, k, float(z.real), float(z.imag)))
-    for k in range(len(s)):
-        rows.append((levels, 0, k, float(s[k].real), float(s[k].imag)))
-    return rows
 
 
 def _trial_report(condition, per_trial, size_exponent, levels, seed, tol) -> CheckReport:

@@ -74,6 +74,31 @@ def test_verify_malformed_json(tmp_path):
     assert run(["verify", bank, "--out", tmp_path / "r.json"]) == 2
 
 
+def _error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+
+
+def test_verify_directory_input(tmp_path, capsys):
+    assert run(["verify", tmp_path, "--out", tmp_path / "r.json"]) == 2
+    assert len(_error_lines(capsys)) == 1
+
+
+def test_verify_non_utf8_input(tmp_path, capsys):
+    bank = tmp_path / "latin1.json"
+    bank.write_bytes(b'{"field": "\xe9"}')
+    assert run(["verify", bank, "--out", tmp_path / "r.json"]) == 2
+    assert len(_error_lines(capsys)) == 1
+
+
+def test_verify_output_is_directory(tmp_path, capsys):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run(["verify", bank, "--out", out]) == 2
+    assert len(_error_lines(capsys)) == 1
+
+
 def test_verify_depth_too_small(tmp_path, p2, haar2):
     matrix = seeded_paraunitary(p2, 2, seed=1)
     pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0, matrix)
@@ -223,6 +248,21 @@ def test_paraunitary_file_input(tmp_path, p2):
     ])
     assert code == 0
     assert str(pu) in load(out)["provenance"]["inputs"]
+
+
+def test_paraunitary_bad_size(tmp_path, p2, capsys):
+    obj = seeded_paraunitary(p2, 2, seed=11).to_json()
+    obj["size"] = "x"
+    pu = tmp_path / "pu.json"
+    pu.write_text(json.dumps(obj))
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    code = run([
+        "pair", "--primal", bank, "--dual", bank, "--paraunitary", pu,
+        "--out", tmp_path / "pair.json",
+    ])
+    assert code == 2
+    assert len(_error_lines(capsys)) == 1
 
 
 def test_experiment_parseval(tmp_path):

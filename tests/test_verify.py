@@ -1,10 +1,14 @@
 """Cascade, partition of unity, discrete transforms, and the experiments."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from framefield import kernels
 from framefield.construct import (
     FramePair,
     compose,
@@ -16,8 +20,8 @@ from framefield.construct import (
 )
 from framefield.errors import ConstructionError, CoverageError, DepthError, ParameterError
 from framefield.galois import FieldParams
-from framefield.localfield import FieldElement, fe_prime_power, fe_zero, u_map
-from framefield.mask import FilterBank, check_uep, eval_mask, mask_scale, zero_mask
+from framefield.localfield import FieldElement, fe_prime_power, fe_zero, index_add, u_map
+from framefield.mask import FilterBank, Mask, check_uep, eval_mask, mask_scale, zero_mask
 from framefield.verify import (
     HatGrid,
     analysis_step,
@@ -150,18 +154,6 @@ def test_transform_support_guard(p2, haar2):
         analysis_step(np.ones(8, dtype=np.complex128), bank)
 
 
-def test_decomposition_rows(p2, haar2, rng):
-    from framefield.verify import decomposition_rows
-
-    v = random_signal(p2, 4, rng)
-    rows = decomposition_rows(v, haar2, levels=2)
-    # levels 1 and 2 wavelet rows plus the final scaling row
-    assert len(rows) == 8 + 4 + 4
-    energy = sum(re * re + im * im for _, _, _, re, im in rows)
-    assert energy == pytest.approx(float(np.sum(np.abs(v) ** 2)), rel=1e-12)
-    assert {lvl for lvl, br, *_ in rows if br == 0} == {2}
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_pr_iff_uep(p2, seed):
     bank = random_bank(p2, seed=seed, unitary=(seed % 2 == 0), max_delay=seed % 3)
@@ -170,6 +162,56 @@ def test_pr_iff_uep(p2, seed):
     rec = synthesis_step(analysis_step(v, bank), bank)
     pr_ok = np.max(np.abs(rec - v)) < 1e-10
     assert pr_ok == check_uep(bank, 3).passed
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]
+MAX_SIGNAL = 729
+
+
+@functools.lru_cache(maxsize=None)
+def reference_indices(params: FieldParams, levels: int) -> np.ndarray:
+    """idx[m, k] = m boxplus q*k for m < q**levels and k < q**(levels-1),
+    one index_add per entry: the dense route the transforms must match."""
+    q = params.q
+    return np.array(
+        [[index_add(params, m, q * k) for k in range(q ** (levels - 1))] for m in range(q ** levels)],
+        dtype=np.int64,
+    )
+
+
+@st.composite
+def transform_problems(draw):
+    """A field, a signal of q**levels samples (levels up to 6, at most
+    MAX_SIGNAL samples), and a mask support whose polyphase components have
+    covering depth e for any e from 0 up to levels - 1."""
+    p, c = draw(st.sampled_from(FIELDS))
+    q = p ** c
+    levels = draw(st.integers(1, max(k for k in range(1, 7) if q ** k <= MAX_SIGNAL)))
+    e = draw(st.integers(0, levels - 1))
+    support = draw(st.integers(q ** e + 1 if e else 1, q ** (e + 1)))
+    return (p, c), levels, support, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(transform_problems())
+# components of covering depth 2 and 1 on index groups of depth 4 and 3
+@example(((2, 1), 5, 5, 2, 0))
+@example(((3, 1), 4, 4, 3, 1))
+def test_transforms_match_dense_reference(problem):
+    (p, c), levels, support, n_masks, seed = problem
+    params = FieldParams(p, c)
+    n = params.q ** levels
+    rng = np.random.default_rng(seed)
+
+    def unit_normal(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / SQRT2
+
+    coeffs = unit_normal(n_masks, support) / math.sqrt(support)
+    bank = FilterBank(params, Mask(params, coeffs[0]), tuple(Mask(params, row) for row in coeffs[1:]))
+    idx = reference_indices(params, levels)[:support]
+    v = unit_normal(n)
+    assert np.abs(analysis_step(v, bank) - kernels.analysis_apply(coeffs, v, idx)).max() <= 1e-13
+    b = unit_normal(n_masks, n // params.q)
+    assert np.abs(synthesis_step(b, bank) - kernels.synthesis_apply(coeffs, b, idx, n)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
