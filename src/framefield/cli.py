@@ -13,7 +13,6 @@ separate ``metadata`` block.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -254,10 +253,15 @@ def cmd_family(args) -> int:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """One data line per entry of ``rows``: its index, then the value, a
+    complex one as its real and imaginary parts.  Floats print as ``repr``
+    and every line ends in \\r\\n, as ``csv.writer`` writes them."""
     with _open_output(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(
+            f"{i},{x.real!r},{x.imag!r}\r\n" if isinstance(x, complex) else f"{i},{x!r}\r\n"
+            for i, x in enumerate(rows)
+        )
 
 
 def cmd_experiment(args) -> int:
@@ -296,12 +300,11 @@ def cmd_experiment(args) -> int:
             report, column = parseval_experiment(bank, *sizes), "deviation"
         else:
             report, column = mixed_frame_experiment(pair, *sizes), "ratio"
-        _write_csv(csv_path, ("trial", column), list(enumerate(report.details["per_trial"])))
+        _write_csv(csv_path, ("trial", column), report.details["per_trial"])
         reports = [report]
     elif args.kind == "cascade":
         hat = cascade_phihat(bank.m0, args.levels, args.hat_neg, args.hat_pos)
-        rows = [(h, z.real, z.imag) for h, z in enumerate(hat.values)]
-        _write_csv(csv_path, ("index", "re", "im"), rows)
+        _write_csv(csv_path, ("index", "re", "im"), hat.values.tolist())
         payload = {
             "kind": "cascade",
             "stabilized_at": hat.stabilized_at,
@@ -318,7 +321,7 @@ def cmd_experiment(args) -> int:
         translates = args.trials
         report = partition_of_unity_check(hat, translates, tol)
         sums = partition_sums(hat, translates)
-        _write_csv(csv_path, ("base_index", "sum"), [(i, s) for i, s in enumerate(sums)])
+        _write_csv(csv_path, ("base_index", "sum"), sums.tolist())
         reports = [report]
     else:
         raise ParameterError(f"unknown experiment kind: {args.kind}")

@@ -131,11 +131,6 @@ def lf_add(x: FieldElement, y: FieldElement) -> FieldElement:
     return FieldElement(x.params, lo, tuple(digits))
 
 
-def lf_neg(x: FieldElement) -> FieldElement:
-    neg = field_tables(x.params).neg
-    return FieldElement(x.params, x.v, tuple(int(neg[d]) for d in x.digits))
-
-
 def lf_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     """Cauchy product of the digit sequences; val(xy) = val(x) + val(y)."""
     _check_shared(x, y)
@@ -171,34 +166,27 @@ def u_map(params: FieldParams, n: int) -> FieldElement:
     return FieldElement(params, -len(b), tuple(reversed(b)))
 
 
-def index_add(params: FieldParams, m: int, n: int) -> int:
-    """Carry-free index group law: u(m) + u(n) = u(index_add(m, n))."""
+def _index_digitwise(table: np.ndarray, q: int, m: int, n: int) -> int:
+    """Digit-wise table[a, b] over the base-q digits of m and n."""
     if m < 0 or n < 0:
         raise RangeError("indices must be non-negative")
-    add = field_tables(params).add
-    q = params.q
     out, shift = 0, 1
     while m or n:
         m, a = divmod(m, q)
         n, b = divmod(n, q)
-        out += int(add[a, b]) * shift
+        out += int(table[a, b]) * shift
         shift *= q
     return out
+
+
+def index_add(params: FieldParams, m: int, n: int) -> int:
+    """Carry-free index group law: u(m) + u(n) = u(index_add(m, n))."""
+    return _index_digitwise(field_tables(params).add, params.q, m, n)
 
 
 def index_sub(params: FieldParams, m: int, n: int) -> int:
     """Inverse of index_add: index_sub(index_add(m, n), n) = m."""
-    if m < 0 or n < 0:
-        raise RangeError("indices must be non-negative")
-    sub = field_tables(params).sub
-    q = params.q
-    out, shift = 0, 1
-    while m or n:
-        m, a = divmod(m, q)
-        n, b = divmod(n, q)
-        out += int(sub[a, b]) * shift
-        shift *= q
-    return out
+    return _index_digitwise(field_tables(params).sub, params.q, m, n)
 
 
 def chi(x: FieldElement) -> complex:

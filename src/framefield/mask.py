@@ -113,6 +113,11 @@ def delta_mask(params: FieldParams, value: complex = 1.0, slot: int = 0, stride:
     return Mask(params, coeffs, stride)
 
 
+def _require_normalized(m0_at_zero: complex) -> None:
+    if abs(m0_at_zero - 1.0) > 1e-12:
+        raise ParameterError(f"refinement mask is not normalized: m0(0) = {m0_at_zero}")
+
+
 @dataclass(frozen=True)
 class FilterBank:
     """A refinement mask plus wavelet masks over shared field parameters."""
@@ -169,9 +174,7 @@ class FilterBank:
         if require_normalized:
             from .localfield import fe_zero
 
-            val = eval_mask(m0, fe_zero(params))
-            if abs(val - 1.0) > 1e-12:
-                raise ParameterError(f"refinement mask is not normalized: m0(0) = {val}")
+            _require_normalized(eval_mask(m0, fe_zero(params)))
         return bank
 
 

@@ -19,7 +19,7 @@ from . import kernels
 from .construct import FramePair, bank_depth, covering_depth
 from .errors import ConstructionError, CoverageError, DepthError, ParameterError
 from .galois import FieldParams
-from .localfield import FieldElement, fe_zero, grid_digits, grid_point
+from .localfield import FieldElement, check_grid_points, grid_point
 from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
@@ -29,6 +29,7 @@ from .mask import (
     _character_factor,
     _fold,
     _grid_transform,
+    _require_normalized,
     check_uep,
     eval_mask,
     mask_values_on_grid,
@@ -91,6 +92,18 @@ def constant_hat(params: FieldParams, j_neg: int, j_pos: int, value: complex = 1
     return HatGrid(params, j_neg, j_pos, vals)
 
 
+def _dilated_index(h: np.ndarray, k: int, q: int, depth: int) -> np.ndarray:
+    """Index in a depth-s table of t**k * x, for the points x whose digits at
+    powers 0, 1, ... are the base-q digits of h.  A table over the depth-s
+    grid reads only the digits at powers 0..s-1, and t**k moves every digit
+    up k powers; no intermediate exceeds q**s."""
+    if k >= depth:
+        return np.zeros_like(h)
+    if k >= 0:
+        return (h % q ** (depth - k)) * q ** k
+    return (h // q ** -k) % q ** depth
+
+
 def cascade_phihat(
     m0: Mask,
     iterations: int,
@@ -108,31 +121,21 @@ def cascade_phihat(
     if j_neg < 0 or j_pos < 0:
         raise ParameterError(f"hat window bounds must be non-negative, got {j_neg} and {j_pos}")
     params = m0.params
-    value0 = eval_mask(m0, fe_zero(params))
-    if abs(value0 - 1.0) > 1e-12:
-        raise ParameterError(f"refinement mask is not normalized: m0(0) = {value0}")
     q = params.q
-    width = j_neg + j_pos
-    digits = grid_digits(params, width)
     support_depth = covering_depth(m0.max_index, q)
-    # m0 is constant on cosets of B^s: each factor gathers from one table
     table = mask_values_on_grid([m0], support_depth)[0]
+    _require_normalized(table[0])
+    width = j_neg + j_pos
+    check_grid_points(q, width)
+    # hat point h is t**-j_neg times the point with the digits of h, so
+    # m0(t**j x) reads the table at shift j - j_neg; once that shift reaches
+    # the support depth (at once on an empty window) every factor is m0(0)
+    last = support_depth + j_neg - 1 if width else 0
+    h = np.arange(q ** width, dtype=np.int64)
     values = np.ones(q ** width, dtype=np.complex128)
-    stabilized_at = None
-    for j in range(1, iterations + 1):
-        # digit of t**j x at power i equals digit of x at power i - j,
-        # i.e. column i - j + j_neg of the hat digit matrix
-        g = np.zeros(len(values), dtype=np.int64)
-        needs_any = False
-        for i in range(support_depth):
-            src = i - j + j_neg
-            if 0 <= src < width:
-                g += digits[:, src] * q ** i
-                needs_any = True
-        if not needs_any:
-            stabilized_at = j if stabilized_at is None else stabilized_at
-            break
-        values *= table[g]
+    for j in range(1, min(iterations, last) + 1):
+        values *= table[_dilated_index(h, j - j_neg, q, support_depth)]
+    stabilized_at = last + 1 if last < iterations else None
     return HatGrid(params, j_neg, j_pos, values, stabilized_at=stabilized_at)
 
 
@@ -367,11 +370,6 @@ def mixed_frame_experiment(
 # hat-level multiplier check
 
 
-def _dilated_point(x: FieldElement, j: int) -> FieldElement:
-    """t**(-j) * x."""
-    return FieldElement(x.params, x.v - j, x.digits)
-
-
 def cascade_value(m0: Mask, x: FieldElement, max_factors: int = 64) -> complex:
     """Exact stabilized cascade product at a single point."""
     params = m0.params
@@ -404,34 +402,37 @@ def multiplier_orthogonality_check(
         if not np.all(np.isfinite(hat.values)):
             raise ParameterError(f"multiplier {name} has unbounded samples")
     q = params.q
-    support_depth = covering_depth(max(pair.primal.max_index, pair.dual.max_index), q)
+    primal, dual = pair.primal, pair.dual
+    support_depth = covering_depth(max(primal.max_index, dual.max_index), q)
     j_hi = g_hat.j_neg
     j_lo = -(support_depth + 1)
     if dilations is not None:
         j_lo = max(j_lo, -dilations)
         j_hi = min(j_hi, dilations)
-    worst = 0.0
-    worst_idx = 0
     base_depth = g_hat.j_pos
-    for g in range(q ** base_depth):
-        xi = grid_point(params, base_depth, g)
-        total = 0.0 + 0.0j
-        for j in range(j_lo, j_hi + 1):
-            x = _dilated_point(xi, j)
-            tx = FieldElement(params, x.v + 1, x.digits)
-            phi_p = cascade_value(pair.primal.m0, tx)
-            phi_d = cascade_value(pair.dual.m0, tx)
-            if phi_p == 0 or phi_d == 0:
-                continue
-            gv = g_hat(x)
-            hv = h_hat(x)
-            for l in range(pair.primal.n_wavelets):
-                psi = eval_mask(pair.primal.wavelets[l], tx) * phi_p * gv
-                phi = eval_mask(pair.dual.wavelets[l], tx) * phi_d * hv
-                total += psi * np.conj(phi)
-        dev = abs(total)
-        if dev > worst:
-            worst, worst_idx = dev, g
+    n_wavelets = primal.n_wavelets
+    tables = mask_values_on_grid(
+        [primal.m0, dual.m0, *primal.wavelets, *dual.wavelets], support_depth
+    )
+    for m0_at_zero in tables[:2, 0]:
+        _require_normalized(m0_at_zero)
+    g = np.arange(q ** base_depth, dtype=np.int64)
+    total = np.zeros(len(g), dtype=np.complex128)
+    for j in range(j_lo, j_hi + 1):
+        # x = t**-j xi; the wavelets and the cascades are read at t*x, the
+        # cascades as the factors m0(t**k xi), k = 2-j..s-1, past which
+        # every factor is m0(0) = 1
+        wavelets = tables[2:, _dilated_index(g, 1 - j, q, support_depth)]
+        cross = np.sum(wavelets[:n_wavelets] * np.conj(wavelets[n_wavelets:]), axis=0)
+        scaling = np.ones((2, len(g)), dtype=np.complex128)
+        for k in range(2 - j, support_depth):
+            scaling *= tables[:2, _dilated_index(g, k, q, support_depth)]
+        hat = _dilated_index(g, g_hat.j_neg - j, q, g_hat.width)
+        total += (cross * scaling[0] * np.conj(scaling[1])
+                  * g_hat.values[hat] * np.conj(h_hat.values[hat]))
+    dev = np.abs(total)
+    worst_idx = int(np.argmax(dev))
+    worst = dev[worst_idx]
     return CheckReport(
         condition="multiplier_orthogonality",
         grid_depth=base_depth,

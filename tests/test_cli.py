@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, files, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -12,8 +14,9 @@ import pytest
 
 import framefield
 from framefield.cli import main
-from framefield.construct import derive_pair, seeded_paraunitary
-from framefield.mask import FilterBank, zero_mask
+from framefield.construct import derive_pair, random_bank, seeded_paraunitary
+from framefield.mask import FilterBank, mask_scale, mask_values_on_grid, zero_mask
+from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
 
 
 def run(args):
@@ -310,6 +313,47 @@ def test_experiment_cascade_and_partition(tmp_path):
     ])
     assert code == 0
     assert load(part)["reports"][0]["pass"] is True
+
+
+def _csv_writer_bytes(header, rows):
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+def test_experiment_csv_bytes_match_csv_writer(tmp_path, p3):
+    # a random bank, its m0 scaled to m0(0) = 1, gives cascade values with
+    # full-length float reprs
+    raw = random_bank(p3, 5, max_delay=2)
+    at_zero = mask_values_on_grid([raw.m0], 1)[0, 0]
+    bank_file = tmp_path / "bank.json"
+    normalized = FilterBank(p3, mask_scale(raw.m0, 1 / at_zero), raw.wavelets)
+    bank_file.write_text(json.dumps(normalized.to_json()))
+    bank = FilterBank.from_json(load(bank_file))
+    haar_file = tmp_path / "haar.json"
+    run(["gen", "haar", "--p", 3, "--out", haar_file])
+    hat_args = ["--levels", 6, "--hat-neg", 2, "--hat-pos", 2]
+
+    assert run(["experiment", "--kind", "cascade", "--bank", bank_file, *hat_args,
+                "--out", tmp_path / "cas.json"]) == 0
+    hat = cascade_phihat(bank.m0, 6, 2, 2)
+    rows = [(h, z.real, z.imag) for h, z in enumerate(hat.values)]
+    expected = _csv_writer_bytes(("index", "re", "im"), rows)
+    assert (tmp_path / "cas.csv").read_bytes() == expected
+
+    run(["experiment", "--kind", "partition", "--bank", bank_file, *hat_args,
+         "--trials", 5, "--out", tmp_path / "part.json"])
+    sums = partition_sums(hat, 5)
+    expected = _csv_writer_bytes(("base_index", "sum"), list(enumerate(sums)))
+    assert (tmp_path / "part.csv").read_bytes() == expected
+
+    assert run(["experiment", "--kind", "parseval", "--bank", haar_file, "--signal-size", 4,
+                "--levels", 2, "--trials", 3, "--seed", 4, "--out", tmp_path / "pv.json"]) == 0
+    report = parseval_experiment(FilterBank.from_json(load(haar_file)), 4, 2, 3, seed=4)
+    rows = list(enumerate(report.details["per_trial"]))
+    assert (tmp_path / "pv.csv").read_bytes() == _csv_writer_bytes(("trial", "deviation"), rows)
 
 
 def test_experiment_missing_input(tmp_path):
