@@ -114,9 +114,27 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
-def _print_reports(reports) -> None:
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _finish(out: Path, payload: dict, reports) -> int:
+    """Print the reports, write the payload, and give the exit code."""
     for report in reports:
         print(report)
+    _write_json(out, payload)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+
+
+def _rejected(exc: ConstructionError, out: Path) -> int:
+    """Report a rejected construction, with its failed check when it has one."""
+    print(f"construction rejected: {exc}", file=sys.stderr)
+    if exc.report is not None:
+        _write_json(out, {"rejected": str(exc), "report": exc.report.to_json()})
+    return EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +165,14 @@ def cmd_verify(args) -> int:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     tol = _positive(args.tol, "tolerance")
     depth = args.depth if args.depth else bank_depth(bank)
+    inputs = {str(path): _sha256(path)}
     dual = None
     if "mixed" in wanted:
         if not args.dual:
             raise ParameterError("the mixed check needs --dual BANK")
-        dual = FilterBank.from_json(_load_json(Path(args.dual)))
+        dual_path = Path(args.dual)
+        dual = FilterBank.from_json(_load_json(dual_path))
+        inputs[str(dual_path)] = _sha256(dual_path)
     reports = []
     for name in wanted:
         if name == "uep":
@@ -162,17 +183,12 @@ def cmd_verify(args) -> int:
             reports.append(check_polyphase_unitary(bank, depth, tol))
         elif name == "mixed":
             reports.append(check_mixed_orthogonality(bank, dual, depth, tol))
-    _print_reports(reports)
     payload = {
         "bank": str(path),
         "reports": [r.to_json() for r in reports],
-        "provenance": {
-            "config": {"checks": wanted, "depth": depth, "tol": tol},
-            "inputs": {str(path): _sha256(path)},
-        },
+        "provenance": {"config": {"checks": wanted, "depth": depth, "tol": tol}, "inputs": inputs},
     }
-    _write_json(Path(args.out), payload)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return _finish(Path(args.out), payload, reports)
 
 
 def _load_paraunitary(args, params, size: int) -> tuple[Paraunitary, dict]:
@@ -196,13 +212,9 @@ def cmd_pair(args) -> int:
     try:
         pair = derive_pair(primal.wavelets, dual.wavelets, primal.m0, dual.m0, matrix)
     except ConstructionError as exc:
-        print(f"construction rejected: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            _write_json(Path(args.out), {"rejected": str(exc), "report": exc.report.to_json()})
-        return EXIT_CHECK_FAILED
+        return _rejected(exc, Path(args.out))
     depth = args.depth if args.depth else None
     reports = certify_pair(pair, depth, tol)
-    _print_reports(reports)
     inputs = {str(primal_path): _sha256(primal_path), str(dual_path): _sha256(dual_path)}
     inputs.update(extra_inputs)
     provenance = {
@@ -213,8 +225,7 @@ def cmd_pair(args) -> int:
     }
     payload = pair.to_json(provenance=provenance)
     payload["reports"] = [r.to_json() for r in reports]
-    _write_json(Path(args.out), payload)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return _finish(Path(args.out), payload, reports)
 
 
 def cmd_family(args) -> int:
@@ -226,13 +237,9 @@ def cmd_family(args) -> int:
     try:
         families = orthogonal_family(bank, matrix)
     except ConstructionError as exc:
-        print(f"construction rejected: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            _write_json(out_dir / "reports.json", {"rejected": str(exc), "report": exc.report.to_json()})
-        return EXIT_CHECK_FAILED
+        return _rejected(exc, out_dir / "reports.json")
     depth = args.depth if args.depth else None
     reports = certify_family(families, depth, tol)
-    _print_reports(reports)
     inputs = {str(bank_path): _sha256(bank_path)}
     inputs.update(extra_inputs)
     provenance = {
@@ -245,11 +252,8 @@ def cmd_family(args) -> int:
         payload = family.to_json()
         payload["provenance"] = {**provenance, "column": r + 1}
         _write_json(out_dir / f"family_{r + 1}.json", payload)
-    _write_json(
-        out_dir / "reports.json",
-        {"reports": [r.to_json() for r in reports], "provenance": provenance},
-    )
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    payload = {"reports": [r.to_json() for r in reports], "provenance": provenance}
+    return _finish(out_dir / "reports.json", payload, reports)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -301,7 +305,6 @@ def cmd_experiment(args) -> int:
         else:
             report, column = mixed_frame_experiment(pair, *sizes), "ratio"
         _write_csv(csv_path, ("trial", column), report.details["per_trial"])
-        reports = [report]
     elif args.kind == "cascade":
         hat = cascade_phihat(bank.m0, args.levels, args.hat_neg, args.hat_pos)
         _write_csv(csv_path, ("index", "re", "im"), hat.values.tolist())
@@ -322,13 +325,10 @@ def cmd_experiment(args) -> int:
         report = partition_of_unity_check(hat, translates, tol)
         sums = partition_sums(hat, translates)
         _write_csv(csv_path, ("base_index", "sum"), sums.tolist())
-        reports = [report]
     else:
         raise ParameterError(f"unknown experiment kind: {args.kind}")
 
-    _print_reports(reports)
-    _write_json(out, {"reports": [r.to_json() for r in reports], "provenance": provenance})
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--primal", required=True)
     pair.add_argument("--dual", required=True)
     pair.add_argument("--paraunitary", default="")
-    pair.add_argument("--seed", type=int, default=0)
+    pair.add_argument("--seed", type=_seed, default=0)
     pair.add_argument("--depth", type=int, default=0)
     pair.add_argument("--tol", type=float, default=DEFAULT_MATRIX_TOL)
     pair.add_argument("--out", default="pair.json")
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family", help="derive a family of orthogonal tight frames")
     fam.add_argument("--bank", required=True)
     fam.add_argument("--paraunitary", default="")
-    fam.add_argument("--seed", type=int, default=0)
+    fam.add_argument("--seed", type=_seed, default=0)
     fam.add_argument("--size", type=int, default=0)
     fam.add_argument("--depth", type=int, default=0)
     fam.add_argument("--tol", type=float, default=DEFAULT_MATRIX_TOL)
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--signal-size", type=int, default=6, dest="signal_size")
     exp.add_argument("--levels", type=int, default=4)
     exp.add_argument("--trials", type=int, default=20)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--seed", type=_seed, default=0)
     exp.add_argument("--tol", type=float, default=DEFAULT_CASCADE_TOL)
     exp.add_argument("--hat-neg", type=int, default=2, dest="hat_neg")
     exp.add_argument("--hat-pos", type=int, default=3, dest="hat_pos")

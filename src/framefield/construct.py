@@ -34,7 +34,6 @@ from .mask import (
     sweep_report,
     zero_mask,
     DEFAULT_MATRIX_TOL,
-    TRIM_CUTOFF,
 )
 
 GRAM_SCHMIDT_RETRIES = 8
@@ -42,6 +41,14 @@ GRAM_SCHMIDT_RETRIES = 8
 
 def bank_depth(*banks: FilterBank) -> int:
     return covering_depth(max(b.max_index for b in banks), banks[0].params.q)
+
+
+def require_tight(bank: FilterBank, label: str) -> None:
+    """Raise ConstructionError, with the report, unless ``bank`` passes the
+    tight-frame (UEP) check at its covering depth."""
+    report = check_uep(bank, bank_depth(bank))
+    if not report.passed:
+        raise ConstructionError(f"{label} bank fails the tight-frame check", report)
 
 
 def haar_bank(params: FieldParams) -> FilterBank:
@@ -128,7 +135,7 @@ class Paraunitary:
                 tuple(Mask.from_json(params, m) for m in row) for row in obj["entries"]
             )
             return cls(params, int(obj["size"]), entries)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad paraunitary object: {exc}") from exc
 
 
@@ -287,10 +294,8 @@ def derive_pair(
         raise ParameterError(f"matrix size {matrix.size} != 2L = {2 * length}")
     bank_in = FilterBank(m0.params, m0, tuple(primal_wavelets))
     bank_in_dual = FilterBank(m0_dual.params, m0_dual, tuple(dual_wavelets))
-    for name, bank in (("primal", bank_in), ("dual", bank_in_dual)):
-        report = check_uep(bank, bank_depth(bank))
-        if not report.passed:
-            raise ConstructionError(f"{name} input bank fails the tight-frame check", report)
+    require_tight(bank_in, "primal input")
+    require_tight(bank_in_dual, "dual input")
     primal_out = _mix_wavelets(matrix, 0, primal_wavelets)
     dual_out = _mix_wavelets(matrix, length, dual_wavelets)
     return FramePair(
@@ -316,9 +321,7 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
     """
     if bank.params != matrix.params:
         raise ParameterError("bank and matrix must share field parameters")
-    report = check_uep(bank, bank_depth(bank))
-    if not report.passed:
-        raise ConstructionError("input bank fails the tight-frame check", report)
+    require_tight(bank, "input")
     entries, values = _product_symbols(matrix, bank.wavelets)
     families = []
     for c in range(matrix.size):

@@ -139,7 +139,7 @@ class FieldParams:
     def from_json(cls, obj: dict) -> "FieldParams":
         try:
             return cls(p=int(obj["p"]), c=int(obj["c"]), modulus=tuple(obj.get("modulus", ())))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad field parameters: {exc}") from exc
 
 

@@ -94,7 +94,7 @@ class Mask:
         try:
             coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]], dtype=np.complex128)
             stride = int(obj.get("stride", 1))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad mask object: {exc}") from exc
         # checked here, where input enters, rather than on every Mask the
         # algebra builds from finite values
@@ -114,7 +114,8 @@ def delta_mask(params: FieldParams, value: complex = 1.0, slot: int = 0, stride:
 
 
 def _require_normalized(m0_at_zero: complex) -> None:
-    if abs(m0_at_zero - 1.0) > 1e-12:
+    # written so that a NaN value fails too
+    if not abs(m0_at_zero - 1.0) <= 1e-12:
         raise ParameterError(f"refinement mask is not normalized: m0(0) = {m0_at_zero}")
 
 
@@ -315,6 +316,19 @@ def _stride_groups(masks, lift: int = 0):
         yield rows, k, coeffs
 
 
+def spectrum(params: FieldParams, coeffs: np.ndarray) -> np.ndarray:
+    """Character transform of (M, q**e) coefficient rows: column x is
+    sum_j coeffs[:, j] * conj chi_j(x) over the depth-e grid point x."""
+    return kernels.character_transform(coeffs, _character_factor(params))
+
+
+def from_spectrum(params: FieldParams, values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`spectrum`."""
+    # F is sqrt(q) times a unitary table, so F**-1 = conj(F).T / q
+    inverse = np.conj(_character_factor(params)).T / params.q
+    return kernels.character_transform(values, inverse)
+
+
 def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int):
     """Values of stride-1 coefficient rows on the depth-e grid, as
     (values, e) with e = min(depth, base-q digits of the last slot).
@@ -329,8 +343,7 @@ def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int):
         e += 1
     check_grid_points(q, e)
     folded = _fold(coeffs, q ** e).sum(axis=1)
-    values = kernels.character_transform(folded, _character_factor(params))
-    return values / math.sqrt(q), e
+    return spectrum(params, folded) / math.sqrt(q), e
 
 
 def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
@@ -374,9 +387,7 @@ def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: 
     them (the others hold only rounding), and coefficients below
     TRIM_CUTOFF become zero.
     """
-    # F is sqrt(q) times a unitary table, so F**-1 = conj(F).T / q
-    inverse = np.conj(_character_factor(params)).T / params.q
-    coeffs = kernels.character_transform(symbols, inverse)
+    coeffs = from_spectrum(params, symbols)
     coeffs = np.where(np.abs(coeffs) < TRIM_CUTOFF, 0.0, coeffs)
     base = params.q ** lift
     return [Mask(params, row[:: s // base], s) for row, s in zip(coeffs, strides)]
@@ -468,6 +479,22 @@ def polyphase_split(m: Mask) -> list:
         raise ParameterError("polyphase decomposition expects a stride-1 mask")
     q = m.params.q
     return [Mask(m.params, m.coeffs[r::q], stride=q) for r in range(q)]
+
+
+def polyphase_symbols(bank: FilterBank) -> np.ndarray:
+    """Symbols of the polyphase components h_{l,r}[j] = coeffs_l[r + q*j]
+    at their covering depth e, as an (L+1, q, q**e) table: column x holds
+    the values at the coset representative t*x, and any point x of a
+    deeper grid reads column x mod q**e.  e is one less than the bank's
+    covering depth."""
+    if any(m.stride != 1 for m in bank.masks):
+        raise ParameterError("polyphase decomposition expects stride-1 masks")
+    params = bank.params
+    q = params.q
+    ((_, _, coeffs),) = _stride_groups(bank.masks)
+    rows = _fold(coeffs, q).transpose(0, 2, 1).reshape(len(coeffs) * q, -1)
+    values, e = _grid_transform(params, rows, covering_depth(bank.max_index, q) - 1)
+    return (values * math.sqrt(q)).reshape(len(coeffs), q, q ** e)
 
 
 def polyphase_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
@@ -577,11 +604,9 @@ def check_polyphase_unitary(
     """Row orthonormality of the polyphase matrix at every grid point."""
     params = bank.params
     q = params.q
+    # the components' covering depth is swept - 1: one column per coset
     swept = swept_depth(depth, bank.max_index, q)
-    comps = []
-    for m in bank.masks:
-        comps.extend(polyphase_split(m))
-    gamma = representative_symbols(comps, swept).reshape(len(bank.masks), q, -1)  # (L+1, q, R)
+    gamma = polyphase_symbols(bank)  # (L+1, q, R)
     # rows of Gamma orthonormal <=> columns of Gamma* orthonormal
     dev = gram_deviation(np.conj(gamma).transpose(0, 2, 1))
     return sweep_report("polyphase_unitary", depth, swept, np.repeat(dev, q), tol, params)

@@ -10,29 +10,27 @@ handling anywhere.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .construct import FramePair, bank_depth, covering_depth
-from .errors import ConstructionError, CoverageError, DepthError, ParameterError
+from .construct import FramePair, covering_depth, require_tight
+from .errors import CoverageError, DepthError, ParameterError
 from .galois import FieldParams
-from .localfield import FieldElement, check_grid_points, grid_point
+from .localfield import FieldElement, check_grid_points
 from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
     CheckReport,
     FilterBank,
     Mask,
-    _character_factor,
-    _fold,
-    _grid_transform,
     _require_normalized,
-    check_uep,
     eval_mask,
+    from_spectrum,
+    make_report,
     mask_values_on_grid,
+    polyphase_symbols,
+    spectrum,
 )
 
 
@@ -151,38 +149,22 @@ def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
             f"{translates} translates exceed the coverage ball of q**{phihat.j_neg} points"
         )
     base = np.arange(q ** phihat.j_pos, dtype=np.int64) * q ** phihat.j_neg
+    # u(k): base-q digit i of k at power -(i+1), i.e. hat column j_neg-1-i
+    k = np.arange(translates, dtype=np.int64)
+    offsets = np.zeros(translates, dtype=np.int64)
+    for i in range(phihat.j_neg):
+        offsets += (k // q ** i % q) * q ** (phihat.j_neg - 1 - i)
     power = np.abs(phihat.values) ** 2
-    sums = np.zeros(len(base))
-    for k in range(translates):
-        # u(k): base-q digit b_i at power -(i+1), i.e. hat column j_neg-1-i
-        offset = 0
-        kk, i = k, 0
-        while kk:
-            kk, b = divmod(kk, q)
-            offset += b * q ** (phihat.j_neg - 1 - i)
-            i += 1
-        sums += power[base + offset]
-    return sums
+    return power[offsets[:, None] + base].sum(axis=0)
 
 
 def partition_of_unity_check(
     phihat: HatGrid, translates: int, tol: float = DEFAULT_CASCADE_TOL
 ) -> CheckReport:
     """max over the base grid of | sum_{k<K} |phihat(xi + u(k))|**2 - 1 |."""
-    params = phihat.params
-    q = params.q
-    sums = partition_sums(phihat, translates)
-    dev = np.abs(sums - 1.0)
-    worst = int(np.argmax(dev))
-    return CheckReport(
-        condition="partition_of_unity",
-        grid_depth=phihat.j_pos,
-        max_deviation=float(dev[worst]),
-        tolerance=tol,
-        passed=bool(dev[worst] <= tol),
-        worst_point=grid_point(params, phihat.j_pos, worst),
-        details={"translates": translates, "coverage_ball": q ** phihat.j_neg},
-    )
+    dev = np.abs(partition_sums(phihat, translates) - 1.0)
+    details = {"translates": translates, "coverage_ball": phihat.params.q ** phihat.j_neg}
+    return make_report("partition_of_unity", phihat.j_pos, dev, tol, phihat.params, details)
 
 
 # ---------------------------------------------------------------------------
@@ -201,42 +183,25 @@ def _signal_levels(params: FieldParams, n: int) -> int:
     return levels
 
 
-def _coeff_matrix(bank: FilterBank) -> np.ndarray:
-    if any(m.stride != 1 for m in bank.masks):
-        raise ParameterError("transforms expect stride-1 masks")
-    width = max(len(m.coeffs) for m in bank.masks)
-    out = np.zeros((len(bank.masks), max(width, 1)), dtype=np.complex128)
-    for l, m in enumerate(bank.masks):
-        out[l, : len(m.coeffs)] = m.coeffs
-    return out
-
-
 def _component_symbols(bank: FilterBank, n: int) -> np.ndarray:
-    """Symbols of the polyphase components h_{l,r}[j] = coeffs_l[r + q*j]
-    on the index group of n/q points, as a table (q**e, L+1, q) over the
-    components' covering depth e: point x reads row x mod q**e."""
-    params = bank.params
-    q = params.q
-    levels = _signal_levels(params, n)
-    if levels < 1:
+    """The polyphase table of ``bank`` for a signal of n samples, as
+    (q**e, L+1, q): point x of the index group of n/q points reads row
+    x mod q**e."""
+    if _signal_levels(bank.params, n) < 1:
         raise DepthError("signal must have at least q samples")
-    coeffs = _coeff_matrix(bank)
-    if coeffs.shape[1] > n:
-        raise DepthError(f"mask support {coeffs.shape[1]} exceeds signal length {n}")
-    rows = _fold(coeffs, q).transpose(0, 2, 1).reshape(len(coeffs) * q, -1)
-    values, e = _grid_transform(params, rows, levels - 1)
-    return (values * math.sqrt(q)).reshape(len(coeffs), q, q ** e).transpose(2, 0, 1)
+    table = polyphase_symbols(bank)
+    if bank.max_index >= n:
+        raise DepthError(f"mask support {bank.max_index + 1} exceeds signal length {n}")
+    return table.transpose(2, 0, 1)
 
 
 def _symbol_product(params: FieldParams, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Inverse transform of table[x mod R] @ (transforms of ``rows`` at x)
     for every point x, R = len(table): one matrix product per x mod R."""
-    factor = _character_factor(params)
-    spectra = kernels.character_transform(rows, factor)
+    spectra = spectrum(params, rows)
     m, n = spectra.shape
     products = table @ spectra.reshape(m, -1, len(table)).transpose(2, 0, 1)
-    inverse = np.conj(factor).T / params.q
-    return kernels.character_transform(products.transpose(1, 2, 0).reshape(-1, n), inverse)
+    return from_spectrum(params, products.transpose(1, 2, 0).reshape(-1, n))
 
 
 def analysis_step(signal: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -287,12 +252,6 @@ def _require_sizes(size_exponent: int, levels: int, trials: int) -> None:
             raise ParameterError(f"{name} must be at least 1, got {value}")
 
 
-def _require_uep(bank: FilterBank, label: str) -> None:
-    report = check_uep(bank, bank_depth(bank))
-    if not report.passed:
-        raise ConstructionError(f"{label} bank fails the tight-frame precondition", report)
-
-
 def parseval_experiment(
     bank: FilterBank,
     size_exponent: int,
@@ -310,7 +269,7 @@ def parseval_experiment(
     """
     _require_sizes(size_exponent, levels, trials)
     if enforce_precondition:
-        _require_uep(bank, "input")
+        require_tight(bank, "input")
     if levels >= size_exponent:
         raise DepthError("levels must stay below the signal size exponent")
     rng = np.random.default_rng([0x7E, seed])
@@ -344,8 +303,8 @@ def mixed_frame_experiment(
     Orthogonal pairs give ratios at numerical zero."""
     _require_sizes(size_exponent, levels, trials)
     if enforce_precondition:
-        _require_uep(pair.primal, "primal")
-        _require_uep(pair.dual, "dual")
+        require_tight(pair.primal, "primal")
+        require_tight(pair.dual, "dual")
     if levels >= size_exponent:
         raise DepthError("levels must stay below the signal size exponent")
     rng = np.random.default_rng([0x3D, seed])
@@ -430,15 +389,5 @@ def multiplier_orthogonality_check(
         hat = _dilated_index(g, g_hat.j_neg - j, q, g_hat.width)
         total += (cross * scaling[0] * np.conj(scaling[1])
                   * g_hat.values[hat] * np.conj(h_hat.values[hat]))
-    dev = np.abs(total)
-    worst_idx = int(np.argmax(dev))
-    worst = dev[worst_idx]
-    return CheckReport(
-        condition="multiplier_orthogonality",
-        grid_depth=base_depth,
-        max_deviation=float(worst),
-        tolerance=tol,
-        passed=bool(worst <= tol),
-        worst_point=grid_point(params, base_depth, worst_idx),
-        details={"dilation_low": j_lo, "dilation_high": j_hi},
-    )
+    details = {"dilation_low": j_lo, "dilation_high": j_hi}
+    return make_report("multiplier_orthogonality", base_depth, np.abs(total), tol, params, details)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, files, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import framefield
@@ -420,3 +422,94 @@ def test_experiment_rejects_bad_hat_window(tmp_path, capsys, kind, flag, value, 
     assert run(["experiment", "--kind", kind, "--bank", bank, flag, value, "--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pair", "family", "experiment"])
+def test_negative_seed_is_input_error(tmp_path, capsys, command):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    args = {
+        "pair": ["pair", "--primal", bank, "--dual", bank, "--out", tmp_path / "pair.json"],
+        "family": ["family", "--bank", bank, "--out-dir", tmp_path / "fam"],
+        "experiment": ["experiment", "--kind", "parseval", "--bank", bank,
+                       "--out", tmp_path / "exp.json"],
+    }[command]
+    assert run([*args, "--seed", -1]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank]
+
+
+def _with_number(obj, path, text):
+    """``obj`` as JSON text with the entry at ``path`` replaced by the
+    literal ``text`` (JSON has no way to write 1e999 as a Python float)."""
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@NUMBER@"
+    return json.dumps(obj).replace('"@NUMBER@"', text)
+
+
+@pytest.mark.parametrize("path", [("field", "p"), ("masks", 1, "stride")], ids=["p", "stride"])
+def test_overflowing_bank_number_is_input_error(tmp_path, capsys, haar2, path):
+    bank = tmp_path / "bank.json"
+    bank.write_text(_with_number(haar2.to_json(), path, "1e999"))
+    out = tmp_path / "r.json"
+    assert run(["verify", bank, "--out", out]) == 2
+    assert len(_error_lines(capsys)) == 1
+    assert not out.exists()
+
+
+def test_overflowing_paraunitary_size_is_input_error(tmp_path, capsys, p2):
+    pu = tmp_path / "pu.json"
+    pu.write_text(_with_number(seeded_paraunitary(p2, 2, seed=11).to_json(), ("size",), "1e999"))
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    out = tmp_path / "pair.json"
+    assert run(["pair", "--primal", bank, "--dual", bank, "--paraunitary", pu, "--out", out]) == 2
+    assert len(_error_lines(capsys)) == 1
+    assert not out.exists()
+
+
+def test_verify_rejects_overflowing_refinement_mask(tmp_path, capsys, haar2):
+    # finite coefficients whose sum overflows: m0(0) evaluates to NaN
+    obj = haar2.to_json()
+    obj["masks"][0]["coeffs"] = [[1e308, 1e308], [1e308, 1e308]]
+    bank = tmp_path / "huge.json"
+    bank.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["verify", bank, "--out", out]) == 2
+    assert "not normalized" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_mixed_records_dual_hash(tmp_path):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    pair_file = tmp_path / "pair.json"
+    run(["pair", "--primal", bank, "--dual", bank, "--seed", 7, "--out", pair_file])
+    primal, dual = tmp_path / "primal.json", tmp_path / "dual.json"
+    primal.write_text(json.dumps(load(pair_file)["primal"]))
+    dual.write_text(json.dumps(load(pair_file)["dual"]))
+    out = tmp_path / "r.json"
+    assert run(["verify", primal, "--checks", "mixed", "--dual", dual, "--out", out]) == 0
+    inputs = load(out)["provenance"]["inputs"]
+    assert inputs == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (primal, dual)
+    }
+
+
+def test_benchmark_tracer_runs_a_cli_op(tmp_path):
+    # perfbench/tracer.py wraps framefield functions by name before it runs
+    # the CLI, so renaming or deleting one of them fails here
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    spans = tmp_path / "spans.npz"
+    done = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "0/verify", "--",
+         "verify", str(bank), "--out", str(tmp_path / "r.json")],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert spans.is_file()

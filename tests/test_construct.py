@@ -20,6 +20,7 @@ from framefield.construct import (
     orthogonal_family,
     paraunitary_adjoint,
     random_bank,
+    require_tight,
     seeded_paraunitary,
 )
 from framefield.errors import ConstructionError, ParameterError
@@ -321,3 +322,12 @@ def test_frame_pair_validation(p2, p3, haar2, haar3):
     obj = pair.to_json(provenance={"algorithm": "test"})
     again = FramePair.from_json(obj)
     assert again.primal.n_wavelets == 1
+
+
+def test_require_tight(p2, haar2):
+    require_tight(haar2, "input")
+    loose = FilterBank(p2, haar2.m0, (zero_mask(p2),))
+    with pytest.raises(ConstructionError, match="^input bank fails the tight-frame check$") as info:
+        require_tight(loose, "input")
+    assert info.value.report.condition == "uep"
+    assert not info.value.report.passed

@@ -1,10 +1,12 @@
 """The hat-level routes against their per-point references.
 
 ``cascade_phihat`` and ``multiplier_orthogonality_check`` read covering-depth
-mask tables through one dilation-index rule.  The references below are the
-direct routes: the cascade gathers its table through the full hat digit
-matrix, and the multiplier check walks base points x dilations x wavelets
-with ``eval_mask`` and ``cascade_value`` on exact field elements.
+mask tables through one dilation-index rule, and ``partition_sums`` gathers
+every translate at once.  The references below are the direct routes: the
+cascade gathers its table through the full hat digit matrix, the multiplier
+check walks base points x dilations x wavelets with ``eval_mask`` and
+``cascade_value`` on exact field elements, and the partition sums add
+translates one point at a time through ``lf_add`` and ``HatGrid.__call__``.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from framefield.construct import FramePair, random_bank
 from framefield.errors import ParameterError
 from framefield.galois import FieldParams
-from framefield.localfield import FieldElement, grid_digits, grid_point
+from framefield.localfield import FieldElement, grid_digits, grid_point, lf_add, u_map
 from framefield.mask import (
     FilterBank,
     covering_depth,
@@ -29,12 +31,14 @@ from framefield.verify import (
     cascade_value,
     constant_hat,
     multiplier_orthogonality_check,
+    partition_sums,
 )
 
 CASCADE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
 MULTIPLIER_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 MAX_HAT_POINTS = 4096
 MAX_MULTIPLIER_POINTS = 243
+MAX_PARTITION_POINTS = 729
 DEV_RTOL = 1e-13
 WORST_ATOL = 1e-12
 
@@ -170,3 +174,29 @@ def test_multiplier_requires_normalized_mask(p2, haar2):
         )
         with pytest.raises(ParameterError, match="not normalized"):
             multiplier_orthogonality_check(pair, one, one)
+
+
+def reference_partition(phihat, translates):
+    """sum_{k<K} |phihat(xi + u(k))|**2 point by point on the base grid."""
+    params = phihat.params
+    sums = np.zeros(params.q ** phihat.j_pos)
+    for g in range(len(sums)):
+        xi = grid_point(params, phihat.j_pos, g)
+        for k in range(translates):
+            sums[g] += abs(phihat(lf_add(xi, u_map(params, k)))) ** 2
+    return sums
+
+
+@given(field=st.sampled_from(CASCADE_FIELDS), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_partition_sums_match_point_loop(field, seed, data):
+    params = FieldParams(*field)
+    q = params.q
+    j_neg, j_pos = hat_window(data, q, MAX_PARTITION_POINTS)
+    translates = data.draw(st.integers(1, q ** j_neg))
+    rng = np.random.default_rng(seed)
+    size = q ** (j_neg + j_pos)
+    hat = HatGrid(params, j_neg, j_pos, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    got = partition_sums(hat, translates)
+    want = reference_partition(hat, translates)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= DEV_RTOL * want.max()

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from framefield import kernels
 from framefield.galois import FieldParams
-from framefield.localfield import FieldElement
+from framefield.localfield import FieldElement, grid_point
 from framefield.mask import (
     Mask,
     character_table,
     covering_depth,
     eval_mask,
+    from_spectrum,
     mask_values_at_digits,
     mask_values_on_grid,
     masks_from_symbols,
+    spectrum,
 )
 
 
@@ -49,6 +51,20 @@ def test_inverse_transform_recovers_coefficients(rng, p, c, e):
     values = kernels.character_transform(coeffs, factor)
     back = kernels.character_transform(values, np.conj(factor).T / q)
     assert np.abs(back - coeffs).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p, c, e", [(2, 1, 4), (3, 1, 2), (2, 2, 2), (5, 1, 1), (3, 2, 1)])
+def test_spectrum_pair(rng, p, c, e):
+    # spectrum is sqrt(q) times the mask values on the depth-e grid, and
+    # from_spectrum undoes it
+    params = FieldParams(p, c)
+    q = params.q
+    coeffs = rng.standard_normal((2, q ** e)) + 1j * rng.standard_normal((2, q ** e))
+    values = spectrum(params, coeffs)
+    for row, got in zip(coeffs, values):
+        want = [eval_mask(Mask(params, row), grid_point(params, e, x)) for x in range(q ** e)]
+        assert np.abs(got - math.sqrt(q) * np.array(want)).max() <= 1e-12
+    assert np.abs(from_spectrum(params, values) - coeffs).max() <= 1e-13
 
 
 @pytest.mark.parametrize("p, c", [(2, 1), (3, 1), (2, 2)])

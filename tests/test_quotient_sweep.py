@@ -10,21 +10,27 @@ to rounding, and a worst point where the reference attains that maximum.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from framefield.construct import Paraunitary, random_bank
-from framefield.errors import ConstructionError
+from framefield.errors import ConstructionError, ParameterError
 from framefield.galois import FieldParams
+from framefield.localfield import grid_point
 from framefield.mask import (
     DEFAULT_MATRIX_TOL,
+    FilterBank,
+    Mask,
     check_mixed_orthogonality,
     check_polyphase_unitary,
     check_subqmf,
     check_uep,
     covering_depth,
+    eval_symbol,
     mask_values_on_grid,
     polyphase_split,
+    polyphase_symbols,
     shift_map,
 )
 
@@ -139,3 +145,25 @@ def test_quotient_paraunitary_matches_full_grid(bank):
     assert report.tolerance == DEFAULT_MATRIX_TOL
     ref, depth = reference_paraunitary(bank.params, entries)
     assert_matches(report, ref, depth, max(m.max_index for row in entries for m in row))
+
+
+@given(bank=banks)
+def test_polyphase_symbols_match_components(bank):
+    # column x of the table is component (l, r) at the coset representative
+    # t*x, the depth-(e+1) point with digit 0 at power 0
+    params = bank.params
+    q = params.q
+    e = covering_depth(bank.max_index, q) - 1
+    table = polyphase_symbols(bank)
+    assert table.shape == (len(bank.masks), q, q ** e)
+    points = [grid_point(params, e + 1, q * x) for x in range(q ** e)]
+    for l, m in enumerate(bank.masks):
+        for r, comp in enumerate(polyphase_split(m)):
+            want = np.array([eval_symbol(comp, xi) for xi in points])
+            assert np.abs(table[l, r] - want).max() <= 1e-12
+
+
+def test_polyphase_symbols_reject_strided_masks(p2, haar2):
+    bank = FilterBank(p2, haar2.m0, (Mask(p2, [1.0, 1.0], stride=2),))
+    with pytest.raises(ParameterError, match="stride-1"):
+        polyphase_symbols(bank)
