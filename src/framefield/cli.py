@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .construct import (
     FramePair,
     Paraunitary,
@@ -60,14 +62,17 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
+# data lines per block of a CSV file: the formatting temporaries stay at a
+# few hundred kB whatever the length of the series
+CSV_BLOCK = 2 ** 12
 
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _open_output(path: Path):
@@ -87,15 +92,21 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path, inputs: dict) -> dict:
+    """The JSON object in ``path``.  The SHA-256 of the bytes it was parsed
+    from goes to ``inputs[str(path)]``: the file is read once, so a rewrite
+    cannot come between the two."""
     try:
-        return json.loads(path.read_text())
+        data = path.read_bytes()
+        obj = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
+    inputs[str(path)] = _sha256(data)
+    return obj
 
 
 def _field_params(args) -> FieldParams:
@@ -155,7 +166,8 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     path = Path(args.bank)
-    bank = FilterBank.from_json(_load_json(path))
+    inputs = {}
+    bank = FilterBank.from_json(_load_json(path, inputs))
     wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
     known = {"uep", "subqmf", "polyphase", "mixed"}
     if not wanted:
@@ -165,14 +177,12 @@ def cmd_verify(args) -> int:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     tol = _positive(args.tol, "tolerance")
     depth = args.depth if args.depth else bank_depth(bank)
-    inputs = {str(path): _sha256(path)}
     dual = None
     if "mixed" in wanted:
         if not args.dual:
             raise ParameterError("the mixed check needs --dual BANK")
         dual_path = Path(args.dual)
-        dual = FilterBank.from_json(_load_json(dual_path))
-        inputs[str(dual_path)] = _sha256(dual_path)
+        dual = FilterBank.from_json(_load_json(dual_path, inputs))
     reports = []
     for name in wanted:
         if name == "uep":
@@ -194,17 +204,19 @@ def cmd_verify(args) -> int:
 def _load_paraunitary(args, params, size: int) -> tuple[Paraunitary, dict]:
     if args.paraunitary:
         path = Path(args.paraunitary)
-        pu = Paraunitary.from_json(_load_json(path), params=params)
+        inputs = {}
+        pu = Paraunitary.from_json(_load_json(path, inputs), params=params)
         if pu.size != size:
             raise ParameterError(f"paraunitary size {pu.size} does not match required {size}")
-        return pu, {str(path): _sha256(path)}
+        return pu, inputs
     return seeded_paraunitary(params, size, args.seed), {}
 
 
 def cmd_pair(args) -> int:
     primal_path, dual_path = Path(args.primal), Path(args.dual)
-    primal = FilterBank.from_json(_load_json(primal_path))
-    dual = FilterBank.from_json(_load_json(dual_path))
+    inputs = {}
+    primal = FilterBank.from_json(_load_json(primal_path, inputs))
+    dual = FilterBank.from_json(_load_json(dual_path, inputs))
     if primal.n_wavelets != dual.n_wavelets:
         raise ParameterError("primal and dual banks must have equal wavelet counts")
     tol = _positive(args.tol, "tolerance")
@@ -215,7 +227,6 @@ def cmd_pair(args) -> int:
         return _rejected(exc, Path(args.out))
     depth = args.depth if args.depth else None
     reports = certify_pair(pair, depth, tol)
-    inputs = {str(primal_path): _sha256(primal_path), str(dual_path): _sha256(dual_path)}
     inputs.update(extra_inputs)
     provenance = {
         "algorithm": "derive_pair",
@@ -230,7 +241,8 @@ def cmd_pair(args) -> int:
 
 def cmd_family(args) -> int:
     bank_path, out_dir = Path(args.bank), Path(args.out_dir)
-    bank = FilterBank.from_json(_load_json(bank_path))
+    inputs = {}
+    bank = FilterBank.from_json(_load_json(bank_path, inputs))
     tol = _positive(args.tol, "tolerance")
     size = args.size or 2
     matrix, extra_inputs = _load_paraunitary(args, bank.params, size)
@@ -240,7 +252,6 @@ def cmd_family(args) -> int:
         return _rejected(exc, out_dir / "reports.json")
     depth = args.depth if args.depth else None
     reports = certify_family(families, depth, tol)
-    inputs = {str(bank_path): _sha256(bank_path)}
     inputs.update(extra_inputs)
     provenance = {
         "algorithm": "orthogonal_family",
@@ -256,16 +267,29 @@ def cmd_family(args) -> int:
     return _finish(out_dir / "reports.json", payload, reports)
 
 
+def _float_reprs(column: np.ndarray) -> list:
+    """``repr`` of every float in ``column``, formatted once per distinct bit
+    pattern (so -0.0 keeps its sign)."""
+    patterns, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in patterns.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """One data line per entry of ``rows``: its index, then the value, a
-    complex one as its real and imaginary parts.  Floats print as ``repr``
-    and every line ends in \\r\\n, as ``csv.writer`` writes them."""
+    """One data line per entry of ``rows``, a list or an array of floats or
+    complex numbers: its index, then the value, a complex one as its real
+    and imaginary parts.  Floats print as ``repr`` and every line ends in
+    \\r\\n, as ``csv.writer`` writes them.  The lines are built and written
+    ``CSV_BLOCK`` at a time."""
+    values = np.asarray(rows)
+    columns = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
     with _open_output(path) as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(
-            f"{i},{x.real!r},{x.imag!r}\r\n" if isinstance(x, complex) else f"{i},{x!r}\r\n"
-            for i, x in enumerate(rows)
-        )
+        for start in range(0, len(values), CSV_BLOCK):
+            stop = min(start + CSV_BLOCK, len(values))
+            fields = [_float_reprs(column[start:stop]) for column in columns]
+            lines = map(",".join, zip(map(str, range(start, stop)), *fields))
+            handle.write("\r\n".join(lines) + "\r\n")
 
 
 def cmd_experiment(args) -> int:
@@ -277,14 +301,12 @@ def cmd_experiment(args) -> int:
         if not args.bank:
             raise ParameterError(f"experiment {args.kind} needs --bank")
         bank_path = Path(args.bank)
-        bank = FilterBank.from_json(_load_json(bank_path))
-        inputs[str(bank_path)] = _sha256(bank_path)
+        bank = FilterBank.from_json(_load_json(bank_path, inputs))
     if args.kind == "mixed":
         if not args.pair:
             raise ParameterError("experiment mixed needs --pair")
         pair_path = Path(args.pair)
-        pair = FramePair.from_json(_load_json(pair_path))
-        inputs[str(pair_path)] = _sha256(pair_path)
+        pair = FramePair.from_json(_load_json(pair_path, inputs))
 
     config = {
         "kind": args.kind,
@@ -307,7 +329,7 @@ def cmd_experiment(args) -> int:
         _write_csv(csv_path, ("trial", column), report.details["per_trial"])
     elif args.kind == "cascade":
         hat = cascade_phihat(bank.m0, args.levels, args.hat_neg, args.hat_pos)
-        _write_csv(csv_path, ("index", "re", "im"), hat.values.tolist())
+        _write_csv(csv_path, ("index", "re", "im"), hat.values)
         payload = {
             "kind": "cascade",
             "stabilized_at": hat.stabilized_at,
@@ -324,7 +346,7 @@ def cmd_experiment(args) -> int:
         translates = args.trials
         report = partition_of_unity_check(hat, translates, tol)
         sums = partition_sums(hat, translates)
-        _write_csv(csv_path, ("base_index", "sum"), sums.tolist())
+        _write_csv(csv_path, ("base_index", "sum"), sums)
     else:
         raise ParameterError(f"unknown experiment kind: {args.kind}")
 

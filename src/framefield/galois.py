@@ -15,11 +15,12 @@ array arithmetic and the discrete logarithm to a primitive element.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError
+from .errors import ParameterError, RangeError, SizeError
 
 # Monic irreducible moduli, (p, c) -> coefficient tuple (a0, ..., ac) with ac = 1.
 # Users may override via FieldParams(modulus=...).
@@ -47,6 +48,18 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
         d += 2
+    return True
+
+
+def _tables_fit(p: int, c: int) -> bool:
+    """Whether a q-by-q table of int64, q = p**c, has at most sys.maxsize
+    bytes.  q grows one factor at a time, so a huge c stops early."""
+    limit = sys.maxsize // 8
+    q = 1
+    for _ in range(c):
+        q *= p
+        if q * q > limit:
+            return False
     return True
 
 
@@ -104,10 +117,17 @@ class FieldParams:
     modulus: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
+        if not isinstance(self.p, int) or self.p < 2:
             raise ParameterError(f"p must be prime, got {self.p!r}")
         if not isinstance(self.c, int) or self.c < 1:
             raise ParameterError(f"c must be a positive integer, got {self.c!r}")
+        # before the primality and irreducibility searches, which take
+        # time that grows with q
+        if not _tables_fit(self.p, self.c):
+            field = f"GF({self.p})" if self.c == 1 else f"GF({self.p}^{self.c})"
+            raise SizeError(f"{field} needs q-by-q int64 tables larger than the address space")
+        if not is_prime(self.p):
+            raise ParameterError(f"p must be prime, got {self.p!r}")
         modulus = tuple(self.modulus)
         if self.c == 1:
             modulus = (0, 1)

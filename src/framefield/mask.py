@@ -83,7 +83,7 @@ class Mask:
     def to_json(self, role: str | None = None) -> dict:
         obj = {
             "stride": self.stride,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
+            "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag)).tolist(),
         }
         if role is not None:
             obj = {"role": role, **obj}
@@ -175,7 +175,11 @@ class FilterBank:
         if require_normalized:
             from .localfield import fe_zero
 
-            _require_normalized(eval_mask(m0, fe_zero(params)))
+            # finite coefficients can still overflow to a NaN m0(0), which
+            # the check rejects: no warning needs to precede its error
+            with np.errstate(over="ignore", invalid="ignore"):
+                at_zero = eval_mask(m0, fe_zero(params))
+            _require_normalized(at_zero)
         return bank
 
 

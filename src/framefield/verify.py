@@ -51,8 +51,11 @@ class HatGrid:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.params.q ** (self.j_neg + self.j_pos),):
             raise ParameterError("hat grid values have the wrong length")
-        values = values.copy()
-        values.flags.writeable = False
+        # a read-only array that owns its data is frozen already: keep it;
+        # copy anything its caller could still write to
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -87,7 +90,13 @@ class HatGrid:
 
 def constant_hat(params: FieldParams, j_neg: int, j_pos: int, value: complex = 1.0) -> HatGrid:
     vals = np.full(params.q ** (j_neg + j_pos), value, dtype=np.complex128)
+    vals.flags.writeable = False
     return HatGrid(params, j_neg, j_pos, vals)
+
+
+# hat points per block of the cascade: its index and gather temporaries stay
+# at a few hundred kB whatever the window
+CASCADE_BLOCK = 2 ** 15
 
 
 def _dilated_index(h: np.ndarray, k: int, q: int, depth: int) -> np.ndarray:
@@ -112,7 +121,9 @@ def cascade_phihat(
 
     Factors become identically 1 once t**j x lands deep enough in the ring
     of integers for every grid point; the first such j is recorded as
-    ``stabilized_at`` (the product is exact from there on).
+    ``stabilized_at`` (the product is exact from there on).  The factors
+    multiply in one block of ``CASCADE_BLOCK`` hat points at a time, so the
+    values are the only array of the window's size.
     """
     if iterations < 1:
         raise ParameterError(f"cascade iterations must be at least 1, got {iterations}")
@@ -129,10 +140,13 @@ def cascade_phihat(
     # m0(t**j x) reads the table at shift j - j_neg; once that shift reaches
     # the support depth (at once on an empty window) every factor is m0(0)
     last = support_depth + j_neg - 1 if width else 0
-    h = np.arange(q ** width, dtype=np.int64)
     values = np.ones(q ** width, dtype=np.complex128)
-    for j in range(1, min(iterations, last) + 1):
-        values *= table[_dilated_index(h, j - j_neg, q, support_depth)]
+    for start in range(0, len(values), CASCADE_BLOCK):
+        block = values[start:start + CASCADE_BLOCK]
+        h = np.arange(start, start + len(block), dtype=np.int64)
+        for j in range(1, min(iterations, last) + 1):
+            block *= table[_dilated_index(h, j - j_neg, q, support_depth)]
+    values.flags.writeable = False
     stabilized_at = last + 1 if last < iterations else None
     return HatGrid(params, j_neg, j_pos, values, stabilized_at=stabilized_at)
 

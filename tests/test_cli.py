@@ -9,13 +9,15 @@ import os
 import resource
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import framefield
-from framefield.cli import main
+from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
 from framefield.construct import derive_pair, random_bank, seeded_paraunitary
 from framefield.mask import FilterBank, mask_scale, mask_values_on_grid, zero_mask
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
@@ -48,6 +50,20 @@ def test_gen_haar(tmp_path):
 
 def test_gen_rejects_nonprime(tmp_path):
     assert run(["gen", "haar", "--p", 4, "--out", tmp_path / "x.json"]) == 2
+
+
+def test_gen_rejects_field_beyond_address_space(tmp_path):
+    # 2**61 - 1 is prime; its q*q tables cannot be addressed, and the CLI
+    # says so before any primality search
+    start = time.perf_counter()
+    done = _run_limited(["gen", "haar", "--p", 2 ** 61 - 1, "--out", tmp_path / "x.json"])
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    # tables that fit the address space but not the memory cap still exit 3
+    done = _run_limited(["gen", "haar", "--p", 1000003, "--out", tmp_path / "y.json"])
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_haar_all_checks(tmp_path):
@@ -93,6 +109,25 @@ def test_verify_non_utf8_input(tmp_path, capsys):
     bank.write_bytes(b'{"field": "\xe9"}')
     assert run(["verify", bank, "--out", tmp_path / "r.json"]) == 2
     assert len(_error_lines(capsys)) == 1
+
+
+def test_load_json_hashes_the_bytes_it_parsed(tmp_path, monkeypatch):
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        data = read_bytes(path)
+        reads.append(data)
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    inputs = {}
+    obj = _load_json(bank, inputs)
+    assert len(reads) == 1
+    assert obj == json.loads(reads[0])
+    assert inputs == {str(bank): hashlib.sha256(reads[0]).hexdigest()}
 
 
 def test_verify_output_is_directory(tmp_path, capsys):
@@ -358,6 +393,39 @@ def test_experiment_csv_bytes_match_csv_writer(tmp_path, p3):
     assert (tmp_path / "pv.csv").read_bytes() == _csv_writer_bytes(("trial", "deviation"), rows)
 
 
+def test_write_csv_bytes_match_csv_writer_across_blocks(tmp_path, rng):
+    n = 2 * CSV_BLOCK + 17
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e308, -1e308,
+                        np.inf, -np.inf, np.nan, 0.1, 1 / 3])
+    reals = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.standard_normal(n))
+    reals[CSV_BLOCK - 3:CSV_BLOCK + 3] = [-0.0, 0.0, -0.0, 1e308, -0.0, 0.0]
+    imags = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.standard_normal(n))
+    values = np.empty(n, dtype=np.complex128)  # reals + 1j * imags would turn inf into nan
+    values.real, values.imag = reals, imags
+    series = {
+        "float array": (("k", "v"), reals, [(i, x) for i, x in enumerate(reals.tolist())]),
+        "float list": (("k", "v"), reals.tolist(), [(i, x) for i, x in enumerate(reals.tolist())]),
+        "complex array": (("k", "re", "im"), values,
+                          list(zip(range(n), reals.tolist(), imags.tolist()))),
+        "empty": (("k", "v"), np.zeros(0), []),
+    }
+    for name, (header, rows, expected) in series.items():
+        path = tmp_path / f"{name}.csv"
+        _write_csv(path, header, rows)
+        assert path.read_bytes() == _csv_writer_bytes(header, expected), name
+
+
+def test_write_csv_memory_is_one_block(tmp_path, haar2):
+    values = cascade_phihat(haar2.m0, 12, 8, 10).values
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "cascade.csv", ("index", "re", "im"), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+
+
 def test_experiment_missing_input(tmp_path):
     assert run(["experiment", "--kind", "parseval", "--out", tmp_path / "x.json"]) == 2
 
@@ -477,10 +545,25 @@ def test_verify_rejects_overflowing_refinement_mask(tmp_path, capsys, haar2):
     bank = tmp_path / "huge.json"
     bank.write_text(json.dumps(obj))
     out = tmp_path / "r.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["verify", bank, "--out", out]) == 2
+    assert run(["verify", bank, "--out", out]) == 2
     assert "not normalized" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_refinement_mask_prints_one_error_line(tmp_path, haar2):
+    # numpy warns once per call site and process: only a child shows it
+    obj = haar2.to_json()
+    obj["masks"][0]["coeffs"] = [[1e308, 1e308], [1e308, 1e308]]
+    bank = tmp_path / "huge.json"
+    bank.write_text(json.dumps(obj))
+    done = subprocess.run(
+        [sys.executable, "-m", "framefield.cli", "verify", str(bank), "--out",
+         str(tmp_path / "r.json")],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 
 def test_verify_mixed_records_dual_hash(tmp_path):

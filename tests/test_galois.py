@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from framefield.errors import ParameterError, RangeError
+from framefield.errors import ParameterError, RangeError, SizeError
 from framefield.galois import (
     DEFAULT_MODULI,
     FieldParams,
@@ -168,6 +168,15 @@ def test_bad_params_rejected():
         FieldParams(2, 2, (1, 1, 2))  # not monic / out of range
     with pytest.raises(ParameterError):
         FieldParams(7, 2)  # no built-in modulus for this pair
+
+
+def test_params_beyond_address_space_rejected_before_search():
+    # 2**61 - 1 is prime: trial division alone would take minutes
+    with pytest.raises(SizeError, match="address space"):
+        FieldParams(2 ** 61 - 1)
+    # a huge degree stops after a few factors of q, not c of them
+    with pytest.raises(SizeError, match="address space"):
+        FieldParams(3, 10 ** 12)
 
 
 def test_mismatched_params_rejected():

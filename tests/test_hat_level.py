@@ -9,6 +9,8 @@ check walks base points x dilations x wavelets with ``eval_mask`` and
 translates one point at a time through ``lf_add`` and ``HatGrid.__call__``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from framefield.mask import (
     mask_values_on_grid,
 )
 from framefield.verify import (
+    CASCADE_BLOCK,
     HatGrid,
     cascade_phihat,
     cascade_value,
@@ -131,6 +134,46 @@ def test_cascade_matches_digit_matrix(field, seed, unitary, delay, iterations, d
     values, stabilized_at = reference_cascade(m0, iterations, j_neg, j_pos)
     assert np.array_equal(hat.values, values)
     assert hat.stabilized_at == stabilized_at
+
+
+@pytest.mark.parametrize("field, j_neg, j_pos", [((2, 1), 7, 9), ((3, 1), 4, 6)])
+def test_cascade_blocks_match_digit_matrix(field, j_neg, j_pos):
+    # windows of 2**16 and 3**10 points span two and more cascade blocks
+    params = FieldParams(*field)
+    assert params.q ** (j_neg + j_pos) > CASCADE_BLOCK
+    m0 = normalized_bank(params, 7, False, 3).m0
+    hat = cascade_phihat(m0, 12, j_neg, j_pos)
+    values, stabilized_at = reference_cascade(m0, 12, j_neg, j_pos)
+    assert np.array_equal(hat.values, values)
+    assert hat.stabilized_at == stabilized_at
+
+
+def test_cascade_memory_is_values_plus_one_block(haar2):
+    cascade_phihat(haar2.m0, 12, 1, 1)  # field and character tables
+    tracemalloc.start()
+    try:
+        hat = cascade_phihat(haar2.m0, 12, 8, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hat.values) == 2 ** 18
+    assert peak <= hat.values.nbytes + 2 * 2 ** 20
+
+
+def test_hat_grid_keeps_frozen_values_and_copies_others(p2, haar2):
+    hat = cascade_phihat(haar2.m0, 6, 2, 3)
+    assert not hat.values.flags.writeable
+    assert HatGrid(p2, 2, 3, hat.values).values is hat.values
+    caller = np.arange(32, dtype=np.complex128)
+    grid = HatGrid(p2, 2, 3, caller)
+    caller[:] = -1
+    assert np.array_equal(grid.values, np.arange(32))
+    # a read-only view of a writable array is copied too
+    view = caller[:]
+    view.flags.writeable = False
+    grid = HatGrid(p2, 2, 3, view)
+    caller[:] = 7
+    assert np.all(grid.values == -1)
 
 
 @given(

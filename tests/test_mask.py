@@ -1,5 +1,6 @@
 """Masks, modulation/polyphase matrices, and the condition checkers."""
 
+import json
 import math
 
 import numpy as np
@@ -341,6 +342,19 @@ def test_bank_json_roundtrip(p3, haar3):
     for a, b in zip(again.masks, haar3.masks):
         assert np.allclose(a.coeffs, b.coeffs, atol=0)
         assert a.stride == b.stride
+
+
+def test_mask_json_matches_per_coefficient_form(p3, rng):
+    coeffs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    coeffs[:6] = [-0.0, complex(0.0, -0.0), 5e-324, complex(-2.2e-308, 1e-310),
+                  complex(1e308, -1e308), complex(-0.0, 0.1)]
+    mask = Mask(p3, coeffs, stride=3)
+    obj = mask.to_json(role="wavelet")
+    per_coefficient = [[float(z.real), float(z.imag)] for z in mask.coeffs]
+    assert obj["coeffs"] == per_coefficient
+    want = {"role": "wavelet", "stride": 3, "coeffs": per_coefficient}
+    assert json.dumps(obj, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert zero_mask(p3).to_json()["coeffs"] == []
 
 
 def test_bank_load_rejects_unnormalized(p2, haar2):
