@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
+import gc
 import hashlib
 import json
 import math
@@ -45,10 +47,12 @@ from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
     FilterBank,
+    Mask,
     check_mixed_orthogonality,
     check_polyphase_unitary,
     check_subqmf,
     check_uep,
+    coeff_pairs,
 )
 from .verify import (
     cascade_phihat,
@@ -84,29 +88,74 @@ def _open_output(path: Path):
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
+def _deferred(mask: Mask, role: str | None = None):
+    """``mask.to_json(role)`` as a call that ``_write_json`` makes when it
+    reaches the mask."""
+    return functools.partial(mask.to_json, role)
+
+
+def _write_value(write, value) -> None:
+    """``json.dumps(value, sort_keys=True)`` written piecewise: a dict (with
+    string keys) and a list holding a callable go item by item, and a
+    callable stands for what it returns, encoded as soon as it is made."""
+    if isinstance(value, dict):
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write((", " if i else "") + json.dumps(key) + ": ")
+            _write_value(write, value[key])
+        write("}")
+    elif isinstance(value, list) and any(map(callable, value)):
+        write("[")
+        for i, item in enumerate(value):
+            write(", " if i else "")
+            _write_value(write, item)
+        write("]")
+    else:
+        write(json.dumps(value() if callable(value) else value, sort_keys=True))
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["metadata"] = {"created": _now()}
+    """``payload`` plus a ``metadata`` block, as the line that
+    ``json.dumps(..., sort_keys=True)`` gives.  Masks passed as
+    ``_deferred`` calls are converted and written one at a time."""
+    payload = {**payload, "metadata": {"created": _now()}}
     with _open_output(path) as handle:
-        # no indent: json's C encoder handles only compact output
-        handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_value(handle.write, payload)
+        handle.write("\n")
+
+
+def _coeff_arrays(obj: dict) -> dict:
+    """``json.loads`` object hook: a mask's ``coeffs`` list becomes an
+    (n, 2) array as soon as its object is parsed, so the lists of one mask
+    at a time exist.  A list that is not [re, im] pairs stays, for
+    ``Mask.from_json`` to reject."""
+    coeffs = obj.get("coeffs")
+    if isinstance(coeffs, list):
+        try:
+            obj["coeffs"] = coeff_pairs(coeffs)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
 
 
 def _load_json(path: Path, inputs: dict) -> dict:
-    """The JSON object in ``path``.  The SHA-256 of the bytes it was parsed
-    from goes to ``inputs[str(path)]``: the file is read once, so a rewrite
-    cannot come between the two."""
+    """The JSON object in ``path``, masks' coefficients as arrays.  The
+    SHA-256 of the bytes it is parsed from goes to ``inputs[str(path)]``:
+    the file is read once, so a rewrite cannot come between the two."""
     try:
         data = path.read_bytes()
-        obj = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    inputs[str(path)] = _sha256(data)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path} is not UTF-8 text: {exc}") from exc
+    del data  # the text alone is needed while the parse runs
+    try:
+        return json.loads(text, object_hook=_coeff_arrays)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
-    inputs[str(path)] = _sha256(data)
-    return obj
 
 
 def _field_params(args) -> FieldParams:
@@ -157,7 +206,7 @@ def cmd_gen(args) -> int:
         raise ParameterError(f"unknown generator kind: {args.kind}")
     params = _field_params(args)
     bank = haar_bank(params)
-    payload = bank.to_json()
+    payload = bank.to_json(_deferred)
     payload["provenance"] = {"algorithm": "haar", "config": {"p": params.p, "c": params.c}}
     _write_json(Path(args.out), payload)
     print(f"wrote {args.out}: {bank.n_wavelets + 1} masks over GF({params.q})")
@@ -234,7 +283,7 @@ def cmd_pair(args) -> int:
         "inputs": inputs,
         "config": {"tol": tol, "depth": depth},
     }
-    payload = pair.to_json(provenance=provenance)
+    payload = pair.to_json(provenance, _deferred)
     payload["reports"] = [r.to_json() for r in reports]
     return _finish(Path(args.out), payload, reports)
 
@@ -260,7 +309,7 @@ def cmd_family(args) -> int:
         "config": {"tol": tol, "depth": depth, "size": matrix.size},
     }
     for r, family in enumerate(families):
-        payload = family.to_json()
+        payload = family.to_json(_deferred)
         payload["provenance"] = {**provenance, "column": r + 1}
         _write_json(out_dir / f"family_{r + 1}.json", payload)
     payload = {"reports": [r.to_json() for r in reports], "provenance": provenance}
@@ -441,6 +490,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # what is alive now (numpy and framefield's module state) leaves the
+    # collector's generations, so the collections at interpreter exit skip
+    # it; not in main(), which tests and the benchmark tracer call in process
+    gc.freeze()
     sys.exit(main())
 
 

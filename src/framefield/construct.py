@@ -241,8 +241,8 @@ class FramePair:
     def params(self) -> FieldParams:
         return self.primal.params
 
-    def to_json(self, provenance: dict | None = None) -> dict:
-        obj = {"primal": self.primal.to_json(), "dual": self.dual.to_json()}
+    def to_json(self, provenance: dict | None = None, mask_json=Mask.to_json) -> dict:
+        obj = {"primal": self.primal.to_json(mask_json), "dual": self.dual.to_json(mask_json)}
         if provenance is not None:
             obj["provenance"] = provenance
         return obj
@@ -342,30 +342,3 @@ def certify_family(families, depth: int | None = None, tol: float = DEFAULT_MATR
         for j in range(i + 1, len(families)):
             reports.append(check_mixed_orthogonality(families[i], families[j], depth, tol))
     return reports
-
-
-def random_bank(
-    params: FieldParams,
-    seed: int,
-    *,
-    unitary: bool = True,
-    max_delay: int = 0,
-    noise: float = 1e-2,
-) -> FilterBank:
-    """Seeded random bank of q masks: a random unitary coefficient matrix,
-    optionally spread over delayed polyphase components, and optionally
-    perturbed so the tight-frame identities fail by about ``noise``.
-    """
-    q = params.q
-    rng = np.random.default_rng([0xBA, seed])
-    unitary_matrix = _seeded_unitary(q, 0xBB, seed)
-    delays = rng.integers(0, max_delay + 1, size=q) if max_delay else np.zeros(q, dtype=int)
-    length = int(q * delays.max() + q)
-    coeffs = np.zeros((q, length), dtype=np.complex128)
-    for r in range(q):
-        coeffs[:, q * int(delays[r]) + r] = unitary_matrix[:, r]
-    if not unitary:
-        bump = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
-        coeffs = coeffs + noise * bump
-    masks = [Mask(params, coeffs[l]) for l in range(q)]
-    return FilterBank(params, masks[0], tuple(masks[1:]))

@@ -193,10 +193,6 @@ def _check_shared(a: GFElem, b: GFElem):
         raise ParameterError("operands belong to different fields")
 
 
-def gf_zero(params: FieldParams) -> GFElem:
-    return GFElem(params, (0,) * params.c)
-
-
 def gf_one(params: FieldParams) -> GFElem:
     return GFElem(params, (1,) + (0,) * (params.c - 1))
 
@@ -206,11 +202,6 @@ def gf_add(a: GFElem, b: GFElem) -> GFElem:
     _check_shared(a, b)
     p = a.params.p
     return GFElem(a.params, tuple((x + y) % p for x, y in zip(a.coords, b.coords)))
-
-
-def gf_neg(a: GFElem) -> GFElem:
-    p = a.params.p
-    return GFElem(a.params, tuple((-x) % p for x in a.coords))
 
 
 def gf_mul(a: GFElem, b: GFElem) -> GFElem:
@@ -226,18 +217,6 @@ def gf_mul(a: GFElem, b: GFElem) -> GFElem:
     rem = _poly_rem(prod, a.params.modulus, p)
     rem += [0] * (c - len(rem))
     return GFElem(a.params, tuple(rem))
-
-
-def gf_inv(a: GFElem) -> GFElem:
-    """Multiplicative inverse by exhaustive search (q is desk-scale)."""
-    if a.is_zero():
-        raise ParameterError("zero has no multiplicative inverse")
-    one = gf_one(a.params)
-    for code in range(1, a.params.q):
-        b = gf_from_digit(a.params, code)
-        if gf_mul(a, b) == one:
-            return b
-    raise ParameterError("no inverse found; field parameters are inconsistent")
 
 
 def gf_proj0(a: GFElem) -> int:

@@ -103,10 +103,6 @@ def fe_zero(params: FieldParams) -> FieldElement:
     return FieldElement(params, 0, ())
 
 
-def fe_one(params: FieldParams) -> FieldElement:
-    return FieldElement(params, 0, (1,))
-
-
 def fe_prime_power(params: FieldParams, j: int, digit: int = 1) -> FieldElement:
     """digit * t^j."""
     return FieldElement(params, j, (digit,))

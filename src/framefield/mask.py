@@ -91,16 +91,42 @@ class Mask:
 
     @classmethod
     def from_json(cls, params: FieldParams, obj: dict) -> "Mask":
+        """The mask of a ``to_json`` object, whose ``coeffs`` may also be
+        the (n, 2) array :func:`coeff_pairs` makes of that list."""
         try:
-            coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]], dtype=np.complex128)
+            pairs = coeff_pairs(obj["coeffs"])
             stride = int(obj.get("stride", 1))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad mask object: {exc}") from exc
         # checked here, where input enters, rather than on every Mask the
         # algebra builds from finite values
-        if not np.isfinite(coeffs).all():
+        if not np.isfinite(pairs).all():
             raise ParameterError("mask coefficients must be finite")
-        return cls(params, coeffs, stride)
+        # each [re, im] row read as one complex value, signed zeros kept
+        return cls(params, pairs.view(np.complex128)[:, 0], stride)
+
+
+def coeff_pairs(coeffs) -> np.ndarray:
+    """A JSON list of [re, im] number pairs as a C-contiguous (n, 2)
+    float64 array.  ValueError or OverflowError for anything else: strings,
+    null, nested lists, rows of another length, integers beyond the float
+    range."""
+    try:
+        pairs = np.asarray(coeffs)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError("coefficients must be [re, im] pairs") from exc
+    if pairs.dtype == object:
+        # integers beyond int64 (or mixed with null, strings, objects)
+        if not all(isinstance(x, (int, float)) for x in pairs.flat):
+            raise ValueError("coefficients must be numbers")
+        pairs = pairs.astype(np.float64)
+    elif pairs.dtype.kind not in "biuf":
+        raise ValueError("coefficients must be numbers")
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("coefficients must be [re, im] pairs")
+    return np.ascontiguousarray(pairs, dtype=np.float64)
 
 
 def zero_mask(params: FieldParams, stride: int = 1) -> Mask:
@@ -146,11 +172,14 @@ class FilterBank:
     def max_index(self) -> int:
         return max(m.max_index for m in self.masks)
 
-    def to_json(self) -> dict:
+    def to_json(self, mask_json=Mask.to_json) -> dict:
+        """The bank as a JSON object, with ``mask_json(mask, role)`` in
+        place of each mask's object; a streaming writer passes one that
+        defers the conversion."""
         return {
             "field": self.params.to_json(),
-            "masks": [self.m0.to_json(role="m0")]
-            + [m.to_json(role="wavelet") for m in self.wavelets],
+            "masks": [mask_json(self.m0, "m0")]
+            + [mask_json(m, "wavelet") for m in self.wavelets],
         }
 
     @classmethod
@@ -395,22 +424,6 @@ def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: 
     coeffs = np.where(np.abs(coeffs) < TRIM_CUTOFF, 0.0, coeffs)
     base = params.q ** lift
     return [Mask(params, row[:: s // base], s) for row, s in zip(coeffs, strides)]
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_map_cached(params: FieldParams, depth: int) -> np.ndarray:
-    """SHIFT[g, k] = grid index of xi_g + t*u(k): digit 0 moves by k in GF(q)."""
-    q = params.q
-    add = field_tables(params).add
-    g = np.arange(q ** depth, dtype=np.int64)
-    base = g - (g % q)
-    return base[:, None] + add[g % q, :]
-
-
-def shift_map(params: FieldParams, depth: int) -> np.ndarray:
-    out = _shift_map_cached(params, depth)
-    out.flags.writeable = False
-    return out
 
 
 # ---------------------------------------------------------------------------

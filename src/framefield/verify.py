@@ -153,7 +153,12 @@ def cascade_phihat(
 
 def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
     """sum_{k<K} |phihat(xi + u(k))|**2 for every point xi of the base grid
-    (the ring-of-integers part of the hat window, at its full resolution)."""
+    (the ring-of-integers part of the hat window, at its full resolution).
+
+    The translates are gathered one block of about ``CASCADE_BLOCK`` hat
+    points at a time, and each block is added to the running total in
+    translate order.
+    """
     params = phihat.params
     q = params.q
     if translates < 1:
@@ -168,8 +173,16 @@ def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
     offsets = np.zeros(translates, dtype=np.int64)
     for i in range(phihat.j_neg):
         offsets += (k // q ** i % q) * q ** (phihat.j_neg - 1 - i)
-    power = np.abs(phihat.values) ** 2
-    return power[offsets[:, None] + base].sum(axis=0)
+    rows = max(1, CASCADE_BLOCK // len(base))
+    sums = None
+    for start in range(0, translates, rows):
+        block = np.abs(phihat.values[offsets[start:start + rows, None] + base]) ** 2
+        if sums is not None:
+            # the total leads the block, so the sum runs down the rows in order
+            block = np.concatenate((sums[None], block))
+        sums = block.sum(axis=0)
+        del block  # not held while the next block is gathered
+    return sums
 
 
 def partition_of_unity_check(

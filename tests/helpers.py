@@ -1,0 +1,81 @@
+"""Test-only constructions: seeded random banks, the reference shifted-column
+gather of the quotient sweep, and the GF(q) and local-field elements that
+no program path needs."""
+
+import functools
+
+import numpy as np
+
+from framefield.construct import _seeded_unitary
+from framefield.errors import ParameterError
+from framefield.galois import FieldParams, GFElem, field_tables, gf_from_digit, gf_mul, gf_one
+from framefield.localfield import FieldElement
+from framefield.mask import FilterBank, Mask
+
+
+def random_bank(
+    params: FieldParams,
+    seed: int,
+    *,
+    unitary: bool = True,
+    max_delay: int = 0,
+    noise: float = 1e-2,
+) -> FilterBank:
+    """Seeded random bank of q masks: a random unitary coefficient matrix,
+    optionally spread over delayed polyphase components, and optionally
+    perturbed so the tight-frame identities fail by about ``noise``.
+    """
+    q = params.q
+    rng = np.random.default_rng([0xBA, seed])
+    unitary_matrix = _seeded_unitary(q, 0xBB, seed)
+    delays = rng.integers(0, max_delay + 1, size=q) if max_delay else np.zeros(q, dtype=int)
+    length = int(q * delays.max() + q)
+    coeffs = np.zeros((q, length), dtype=np.complex128)
+    for r in range(q):
+        coeffs[:, q * int(delays[r]) + r] = unitary_matrix[:, r]
+    if not unitary:
+        bump = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
+        coeffs = coeffs + noise * bump
+    masks = [Mask(params, coeffs[l]) for l in range(q)]
+    return FilterBank(params, masks[0], tuple(masks[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_map_cached(params: FieldParams, depth: int) -> np.ndarray:
+    """SHIFT[g, k] = grid index of xi_g + t*u(k): digit 0 moves by k in GF(q)."""
+    q = params.q
+    add = field_tables(params).add
+    g = np.arange(q ** depth, dtype=np.int64)
+    base = g - (g % q)
+    return base[:, None] + add[g % q, :]
+
+
+def shift_map(params: FieldParams, depth: int) -> np.ndarray:
+    out = _shift_map_cached(params, depth)
+    out.flags.writeable = False
+    return out
+
+
+def gf_zero(params: FieldParams) -> GFElem:
+    return GFElem(params, (0,) * params.c)
+
+
+def gf_neg(a: GFElem) -> GFElem:
+    p = a.params.p
+    return GFElem(a.params, tuple((-x) % p for x in a.coords))
+
+
+def gf_inv(a: GFElem) -> GFElem:
+    """Multiplicative inverse by exhaustive search (q is desk-scale)."""
+    if a.is_zero():
+        raise ParameterError("zero has no multiplicative inverse")
+    one = gf_one(a.params)
+    for code in range(1, a.params.q):
+        b = gf_from_digit(a.params, code)
+        if gf_mul(a, b) == one:
+            return b
+    raise ParameterError("no inverse found; field parameters are inconsistent")
+
+
+def fe_one(params: FieldParams) -> FieldElement:
+    return FieldElement(params, 0, (1,))

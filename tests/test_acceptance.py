@@ -16,7 +16,6 @@ from framefield.construct import (
     derive_pair,
     haar_bank,
     orthogonal_family,
-    random_bank,
     seeded_paraunitary,
 )
 from framefield.galois import FieldParams, field_tables
@@ -33,6 +32,8 @@ from framefield.verify import (
     synthesis_step,
 )
 from framefield.mask import eval_mask
+
+from helpers import random_bank
 
 
 def report_line(number, passed, text):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, files, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -18,9 +19,11 @@ import pytest
 
 import framefield
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
-from framefield.construct import derive_pair, random_bank, seeded_paraunitary
+from framefield.construct import derive_pair, seeded_paraunitary
 from framefield.mask import FilterBank, mask_scale, mask_values_on_grid, zero_mask
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
+
+from helpers import random_bank
 
 
 def run(args):
@@ -126,6 +129,10 @@ def test_load_json_hashes_the_bytes_it_parsed(tmp_path, monkeypatch):
     inputs = {}
     obj = _load_json(bank, inputs)
     assert len(reads) == 1
+    # the coefficients come back as (n, 2) arrays of the parsed pairs
+    for mask in obj["masks"]:
+        assert mask["coeffs"].dtype == np.float64
+        mask["coeffs"] = mask["coeffs"].tolist()
     assert obj == json.loads(reads[0])
     assert inputs == {str(bank): hashlib.sha256(reads[0]).hexdigest()}
 
@@ -596,3 +603,33 @@ def test_benchmark_tracer_runs_a_cli_op(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert spans.is_file()
+
+
+def test_console_main_freezes_the_start_up_objects(tmp_path, monkeypatch):
+    # the collections at interpreter exit then skip numpy's and framefield's
+    # module state; main() itself, which runs in process here, never freezes
+    codes = []
+    monkeypatch.setattr(sys, "argv", ["framefield", "gen", "haar", "--p", "2",
+                                      "--out", str(tmp_path / "bank.json")])
+    monkeypatch.setattr(sys, "exit", codes.append)
+    try:
+        framefield.cli.console_main()
+        assert codes == [0]
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_benchmark_inputs_load_in_the_cli(tmp_path):
+    # perfbench/inputs.py writes its pair with json.dump of to_json() and
+    # the CLI reads it back: the plain-JSON contract between them
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    pair = tmp_path / "lpair.json"
+    for args in (
+        [str(inputs), "longpair", str(pair), "--p", "3", "--delay", "4", "--seed", "1"],
+        ["-m", "framefield.cli", "experiment", "--kind", "mixed", "--pair", str(pair),
+         "--out", str(tmp_path / "exp.json")],
+    ):
+        done = subprocess.run([sys.executable, *args], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

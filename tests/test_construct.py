@@ -19,7 +19,6 @@ from framefield.construct import (
     mask_adjoint,
     orthogonal_family,
     paraunitary_adjoint,
-    random_bank,
     require_tight,
     seeded_paraunitary,
 )
@@ -37,6 +36,8 @@ from framefield.mask import (
     mask_values_on_grid,
     zero_mask,
 )
+
+from helpers import random_bank
 
 SQRT2 = math.sqrt(2.0)
 

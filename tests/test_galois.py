@@ -11,14 +11,13 @@ from framefield.galois import (
     field_tables,
     gf_add,
     gf_from_digit,
-    gf_inv,
     gf_mul,
-    gf_neg,
     gf_one,
     gf_proj0,
     gf_to_digit,
-    gf_zero,
 )
+
+from helpers import gf_inv, gf_neg, gf_zero
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 

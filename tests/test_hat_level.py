@@ -2,7 +2,7 @@
 
 ``cascade_phihat`` and ``multiplier_orthogonality_check`` read covering-depth
 mask tables through one dilation-index rule, and ``partition_sums`` gathers
-every translate at once.  The references below are the direct routes: the
+one block of translates at a time.  The references below are the direct routes: the
 cascade gathers its table through the full hat digit matrix, the multiplier
 check walks base points x dilations x wavelets with ``eval_mask`` and
 ``cascade_value`` on exact field elements, and the partition sums add
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from framefield.construct import FramePair, random_bank
+from framefield.construct import FramePair
 from framefield.errors import ParameterError
 from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, grid_digits, grid_point, lf_add, u_map
@@ -36,6 +36,8 @@ from framefield.verify import (
     multiplier_orthogonality_check,
     partition_sums,
 )
+
+from helpers import random_bank
 
 CASCADE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
 MULTIPLIER_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
@@ -243,3 +245,35 @@ def test_partition_sums_match_point_loop(field, seed, data):
     want = reference_partition(hat, translates)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= DEV_RTOL * want.max()
+
+
+@pytest.mark.parametrize("field, j_neg, j_pos, translates", [
+    ((2, 1), 8, 10, 256), ((2, 1), 8, 10, 200), ((3, 1), 6, 4, 700), ((2, 2), 4, 4, 256),
+])
+def test_partition_blocks_match_one_gather(field, j_neg, j_pos, translates):
+    # the one-gather sum, bit for bit, with the translates spread over
+    # 8, 8, 2 and 2 blocks
+    params = FieldParams(*field)
+    q = params.q
+    rng = np.random.default_rng(3)
+    size = q ** (j_neg + j_pos)
+    hat = HatGrid(params, j_neg, j_pos, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    base = np.arange(q ** j_pos) * q ** j_neg
+    k = np.arange(translates)
+    offsets = sum((k // q ** i % q) * q ** (j_neg - 1 - i) for i in range(j_neg))
+    want = (np.abs(hat.values[offsets[:, None] + base]) ** 2).sum(axis=0)
+    assert np.array_equal(partition_sums(hat, translates), want)
+
+
+def test_partition_memory_is_one_block(haar2):
+    hat = cascade_phihat(haar2.m0, 12, 8, 10)
+    tracemalloc.start()
+    try:
+        sums = partition_sums(hat, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == 2 ** 10
+    # beyond the hat values, which were there before; one gather of all
+    # 256 translates took 6.0 MB
+    assert peak <= 2 ** 20

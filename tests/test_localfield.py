@@ -9,7 +9,6 @@ from framefield.localfield import (
     FieldElement,
     chi,
     chi_n,
-    fe_one,
     fe_prime_power,
     fe_zero,
     grid,
@@ -20,6 +19,8 @@ from framefield.localfield import (
     lf_mul,
     u_map,
 )
+
+from helpers import fe_one
 
 
 def random_element(params, rng, span=4):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from framefield.construct import haar_bank, random_bank
+from framefield.construct import haar_bank
 from framefield.errors import DepthError, ParameterError, SizeError
 from framefield.galois import FieldParams
 from framefield.localfield import (
@@ -40,9 +40,10 @@ from framefield.mask import (
     modulation_matrix,
     polyphase_matrix,
     polyphase_split,
-    shift_map,
     zero_mask,
 )
+
+from helpers import random_bank, shift_map
 
 SQRT2 = math.sqrt(2.0)
 

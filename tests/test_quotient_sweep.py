@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from framefield.construct import Paraunitary, random_bank
+from framefield.construct import Paraunitary
 from framefield.errors import ConstructionError, ParameterError
 from framefield.galois import FieldParams
 from framefield.localfield import grid_point
@@ -31,8 +31,9 @@ from framefield.mask import (
     mask_values_on_grid,
     polyphase_split,
     polyphase_symbols,
-    shift_map,
 )
+
+from helpers import random_bank, shift_map
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
 DEV_ATOL = 1e-14

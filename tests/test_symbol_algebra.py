@@ -21,7 +21,6 @@ from framefield.construct import (
     mask_adjoint,
     orthogonal_family,
     paraunitary_adjoint,
-    random_bank,
     seeded_paraunitary,
 )
 from framefield.galois import FieldParams
@@ -34,6 +33,8 @@ from framefield.mask import (
     trim_mask,
     zero_mask,
 )
+
+from helpers import random_bank
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 COEFF_ATOL = 1e-13

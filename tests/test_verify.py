@@ -15,7 +15,6 @@ from framefield.construct import (
     delay_block,
     derive_pair,
     haar_bank,
-    random_bank,
     seeded_paraunitary,
 )
 from framefield.errors import ConstructionError, CoverageError, DepthError, ParameterError
@@ -36,6 +35,8 @@ from framefield.verify import (
     random_signal,
     synthesis_step,
 )
+
+from helpers import random_bank
 
 SQRT2 = math.sqrt(2.0)
 
