@@ -15,52 +15,45 @@ verify      cascade, discrete transforms, Parseval/orthogonality experiments
 cli         the ``framefield`` command-line tool
 """
 
-from .galois import FieldParams, GFElem, gf_add, gf_from_digit, gf_mul, gf_proj0, gf_to_digit
-from .localfield import (
-    FieldElement,
-    chi,
-    chi_n,
-    grid,
-    index_add,
-    index_sub,
-    lf_add,
-    lf_mul,
-    u_map,
-)
-from .mask import (
-    CheckReport,
-    FilterBank,
-    Mask,
-    MatrixSample,
-    check_mixed_orthogonality,
-    check_polyphase_unitary,
-    check_subqmf,
-    check_uep,
-    eval_mask,
-    mask_mul,
-    modulation_matrix,
-    polyphase_matrix,
-    polyphase_split,
-)
-from .construct import (
-    FramePair,
-    Paraunitary,
-    compose,
-    constant_paraunitary,
-    delay_block,
-    derive_pair,
-    haar_bank,
-    orthogonal_family,
-)
-from .verify import (
-    HatGrid,
-    analysis_step,
-    cascade_phihat,
-    mixed_frame_experiment,
-    multiplier_orthogonality_check,
-    parseval_experiment,
-    partition_of_unity_check,
-    synthesis_step,
-)
+from importlib import import_module
 
+# public name -> the module that defines it; a name's module is imported on
+# first access, so a command imports only the modules it runs
+_EXPORTS = {
+    **dict.fromkeys(
+        ("FieldParams", "GFElem", "gf_add", "gf_from_digit", "gf_mul", "gf_proj0", "gf_to_digit"),
+        "galois",
+    ),
+    **dict.fromkeys(
+        ("FieldElement", "chi", "chi_n", "grid", "index_add", "index_sub", "lf_add", "lf_mul",
+         "u_map"),
+        "localfield",
+    ),
+    **dict.fromkeys(
+        ("CheckReport", "FilterBank", "Mask", "MatrixSample", "check_mixed_orthogonality",
+         "check_polyphase_unitary", "check_subqmf", "check_uep", "eval_mask", "mask_mul",
+         "modulation_matrix", "polyphase_matrix", "polyphase_split"),
+        "mask",
+    ),
+    **dict.fromkeys(
+        ("FramePair", "Paraunitary", "compose", "constant_paraunitary", "delay_block",
+         "derive_pair", "haar_bank", "orthogonal_family"),
+        "construct",
+    ),
+    **dict.fromkeys(
+        ("HatGrid", "analysis_step", "cascade_phihat", "mixed_frame_experiment",
+         "multiplier_orthogonality_check", "parseval_experiment", "partition_of_unity_check",
+         "synthesis_step"),
+        "verify",
+    ),
+}
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

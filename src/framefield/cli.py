@@ -8,6 +8,10 @@ exhaustion.
 All outputs are JSON (CSV for experiment series); identical configuration
 and seed reproduce byte-identical payloads, with timestamps confined to a
 separate ``metadata`` block.
+
+The constructions (``construct``) and the experiments (``verify``) are
+imported by the commands that run them, so ``verify`` starts without
+either.
 """
 
 from __future__ import annotations
@@ -24,17 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import (
-    FramePair,
-    Paraunitary,
-    bank_depth,
-    certify_family,
-    certify_pair,
-    derive_pair,
-    haar_bank,
-    orthogonal_family,
-    seeded_paraunitary,
-)
 from .errors import (
     ConstructionError,
     DepthError,
@@ -53,13 +46,7 @@ from .mask import (
     check_subqmf,
     check_uep,
     coeff_pairs,
-)
-from .verify import (
-    cascade_phihat,
-    mixed_frame_experiment,
-    parseval_experiment,
-    partition_of_unity_check,
-    partition_sums,
+    covering_depth,
 )
 
 EXIT_OK = 0
@@ -88,16 +75,36 @@ def _open_output(path: Path):
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
+# json's text for the floats whose repr it does not use
+_NON_FINITE_JSON = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _mask_json(mask: Mask, role: str | None = None) -> str:
+    """``json.dumps(mask.to_json(role), sort_keys=True)``, with each distinct
+    coefficient float formatted once."""
+    parts = []
+    for column in (mask.coeffs.real, mask.coeffs.imag):
+        text = _float_reprs(column)
+        if not np.isfinite(column).all():
+            text = [_NON_FINITE_JSON.get(t, t) for t in text]
+        parts.append(text)
+    fields = ['"coeffs": [' + ", ".join(map("[{}, {}]".format, *parts)) + "]"]
+    if role is not None:
+        fields.append('"role": ' + json.dumps(role))
+    fields.append('"stride": ' + json.dumps(mask.stride))
+    return "{" + ", ".join(fields) + "}"
+
+
 def _deferred(mask: Mask, role: str | None = None):
-    """``mask.to_json(role)`` as a call that ``_write_json`` makes when it
-    reaches the mask."""
-    return functools.partial(mask.to_json, role)
+    """The JSON text of ``mask.to_json(role)`` as a call that
+    ``_write_json`` makes when it reaches the mask."""
+    return functools.partial(_mask_json, mask, role)
 
 
 def _write_value(write, value) -> None:
     """``json.dumps(value, sort_keys=True)`` written piecewise: a dict (with
     string keys) and a list holding a callable go item by item, and a
-    callable stands for what it returns, encoded as soon as it is made."""
+    callable stands for the JSON text it returns, made when it is reached."""
     if isinstance(value, dict):
         write("{")
         for i, key in enumerate(sorted(value)):
@@ -111,7 +118,7 @@ def _write_value(write, value) -> None:
             _write_value(write, item)
         write("]")
     else:
-        write(json.dumps(value() if callable(value) else value, sort_keys=True))
+        write(value() if callable(value) else json.dumps(value, sort_keys=True))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -202,6 +209,8 @@ def _rejected(exc: ConstructionError, out: Path) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .construct import haar_bank
+
     if args.kind != "haar":
         raise ParameterError(f"unknown generator kind: {args.kind}")
     params = _field_params(args)
@@ -225,7 +234,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     tol = _positive(args.tol, "tolerance")
-    depth = args.depth if args.depth else bank_depth(bank)
+    depth = args.depth if args.depth else covering_depth(bank.max_index, bank.params.q)
     dual = None
     if "mixed" in wanted:
         if not args.dual:
@@ -250,7 +259,11 @@ def cmd_verify(args) -> int:
     return _finish(Path(args.out), payload, reports)
 
 
-def _load_paraunitary(args, params, size: int) -> tuple[Paraunitary, dict]:
+def _load_paraunitary(args, params, size: int):
+    """The paraunitary matrix of ``--paraunitary``, else the seeded one, and
+    the input hashes it was read with."""
+    from .construct import Paraunitary, seeded_paraunitary
+
     if args.paraunitary:
         path = Path(args.paraunitary)
         inputs = {}
@@ -262,6 +275,8 @@ def _load_paraunitary(args, params, size: int) -> tuple[Paraunitary, dict]:
 
 
 def cmd_pair(args) -> int:
+    from .construct import certify_pair, derive_pair
+
     primal_path, dual_path = Path(args.primal), Path(args.dual)
     inputs = {}
     primal = FilterBank.from_json(_load_json(primal_path, inputs))
@@ -289,6 +304,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from .construct import certify_family, orthogonal_family
+
     bank_path, out_dir = Path(args.bank), Path(args.out_dir)
     inputs = {}
     bank = FilterBank.from_json(_load_json(bank_path, inputs))
@@ -342,6 +359,15 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_experiment(args) -> int:
+    from .construct import FramePair
+    from .verify import (
+        cascade_phihat,
+        mixed_frame_experiment,
+        parseval_experiment,
+        partition_of_unity_check,
+        partition_sums,
+    )
+
     tol = _positive(args.tol, "tolerance")
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")

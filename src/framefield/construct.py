@@ -10,6 +10,7 @@ outputs orthogonal, because distinct columns are pointwise orthonormal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError
 from .galois import FieldParams
-from .localfield import index_sub
+from .localfield import check_grid_points, index_sub
 from .mask import (
     CheckReport,
     FilterBank,
@@ -28,12 +29,14 @@ from .mask import (
     coset_values,
     covering_depth,
     delta_mask,
+    from_spectrum,
     gram_deviation,
     masks_from_symbols,
     representative_symbols,
     sweep_report,
-    zero_mask,
+    _grid_transform,
     DEFAULT_MATRIX_TOL,
+    TRIM_CUTOFF,
 )
 
 GRAM_SCHMIDT_RETRIES = 8
@@ -63,34 +66,72 @@ def haar_bank(params: FieldParams) -> FilterBank:
     return FilterBank(params, masks[0], tuple(masks[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Paraunitary:
-    """Square matrix of stride-q symbols, unitary at every grid point."""
+    """Square matrix of stride-q symbols, unitary at every grid point.
+
+    The entries are one (size**2, n) coefficient block on the stride-q
+    lattice: row i*size + j is entry (i, j), with its coefficient of index
+    q*k in column k.  ``strides`` keeps each entry's own stride; a
+    stride-q**m entry fills every q**(m-1)-th column, and a zero entry may
+    have any stride.  The block's last column holds a nonzero coefficient.
+    Entry masks are made only for ``entries`` and the JSON form.
+    """
 
     params: FieldParams
     size: int
-    entries: tuple
+    coeffs: np.ndarray
+    strides: tuple
+    max_index: int
 
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
-        if len(entries) != self.size or any(len(row) != self.size for row in entries):
-            raise ParameterError(f"entries must form a {self.size}x{self.size} matrix")
-        for row in entries:
-            for m in row:
-                if m.params != self.params:
-                    raise ParameterError("entries must share the matrix field parameters")
-                if not m.is_zero() and m.stride % self.params.q != 0:
-                    raise ParameterError("paraunitary entries must be stride-q symbols")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, params: FieldParams, size: int, entries):
+        entries = tuple(tuple(row) for row in entries)
+        if len(entries) != size or any(len(row) != size for row in entries):
+            raise ParameterError(f"entries must form a {size}x{size} matrix")
+        flat = [m for row in entries for m in row]
+        q = params.q
+        for m in flat:
+            if m.params != params:
+                raise ParameterError("entries must share the matrix field parameters")
+            if not m.is_zero() and m.stride % q != 0:
+                raise ParameterError("paraunitary entries must be stride-q symbols")
+        width = max((m.max_index // q + 1 for m in flat), default=0)
+        block = np.zeros((len(flat), width), dtype=np.complex128)
+        for row, m in zip(block, flat):
+            if not m.is_zero():
+                row[: m.max_index // q + 1 : m.stride // q] = m.coeffs
+        self._certify(params, size, block, tuple(m.stride for m in flat))
+
+    @classmethod
+    def _of_block(cls, params: FieldParams, size: int, block: np.ndarray, strides=None):
+        """The matrix of a coefficient block whose last column holds a
+        nonzero coefficient (stride-q entries unless ``strides`` says
+        otherwise), certified."""
+        matrix = cls.__new__(cls)
+        matrix._certify(params, size, block, strides or (params.q,) * (size * size))
+        return matrix
+
+    def _certify(self, params, size, block, strides) -> None:
+        """Keep the block, whose last column must hold a nonzero
+        coefficient, and check it."""
+        block.flags.writeable = False
+        max_index = (block.shape[1] - 1) * params.q if block.shape[1] else -1
+        for name, value in (("params", params), ("size", size), ("coeffs", block),
+                            ("strides", strides), ("max_index", max_index)):
+            object.__setattr__(self, name, value)
         report = self.unitarity_report()
         if not report.passed:
             raise ConstructionError(
                 f"matrix is not paraunitary (deviation {report.max_deviation:.3e})", report
             )
 
-    @property
-    def max_index(self) -> int:
-        return max(m.max_index for row in self.entries for m in row)
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """The entries as masks, row by row."""
+        q = self.params.q
+        flat = [Mask(self.params, row[:: max(stride // q, 1)], stride)
+                for row, stride in zip(self.coeffs, self.strides)]
+        return tuple(tuple(flat[i * self.size : (i + 1) * self.size]) for i in range(self.size))
 
     def depth(self) -> int:
         return covering_depth(self.max_index, self.params.q)
@@ -105,19 +146,33 @@ class Paraunitary:
         return sweep_report("paraunitary", depth, depth, np.repeat(dev, q), tol, self.params)
 
     def symbols(self, depth: int) -> np.ndarray:
-        """Entry symbols at the depth-s coset representatives, (R, size, size)."""
-        flat = [m for row in self.entries for m in row]
-        values = representative_symbols(flat, depth).reshape(self.size, self.size, -1)
-        return values.transpose(2, 0, 1)
+        """Entry symbols at the depth-s coset representatives, (R, size, size):
+        the block's values at t*x for x on the depth-(s-1) grid, from one
+        transform of the whole block."""
+        q = self.params.q
+        check_grid_points(q, depth - 1)
+        table, e = _grid_transform(self.params, self.coeffs, depth - 1)
+        table *= math.sqrt(q)
+        if e < depth - 1:
+            # the entries read no digit at power e and above
+            values = np.empty((len(table), q ** (depth - 1)), dtype=np.complex128)
+            values.reshape(len(table), -1, q ** e)[...] = table[:, None, :]
+            table = values
+        return table.reshape(self.size, self.size, -1).transpose(2, 0, 1)
 
     @classmethod
     def from_symbols(cls, params: FieldParams, symbols: np.ndarray) -> "Paraunitary":
         """The matrix whose entry symbols at the coset representatives of
-        some depth are the (R, size, size) stack ``symbols``, certified."""
+        some depth are the (R, size, size) stack ``symbols``, certified.
+        The stack is copied into entry rows once and not used again, so a
+        stack that no caller holds is freed before the inverse transform
+        runs in the rows."""
         size = symbols.shape[1]
-        rows = symbols.transpose(1, 2, 0).reshape(size * size, -1)
-        flat = masks_from_symbols(params, rows, [params.q] * size * size, lift=1)
-        return cls(params, size, tuple(flat[i * size : (i + 1) * size] for i in range(size)))
+        rows = _entry_rows(symbols)
+        del symbols
+        block = _entry_block(params, rows)
+        del rows  # only the trimmed block is kept while it is certified
+        return cls._of_block(params, size, block)
 
     def to_json(self) -> dict:
         return {
@@ -139,6 +194,31 @@ class Paraunitary:
             raise ParameterError(f"bad paraunitary object: {exc}") from exc
 
 
+def _entry_rows(symbols: np.ndarray) -> np.ndarray:
+    """An (R, size, size) symbol stack as a new C-contiguous (size**2, R)
+    array: row i*size + j holds entry (i, j) at every representative."""
+    size = symbols.shape[1]
+    rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
+    return rows.reshape(size * size, -1)
+
+
+def _entry_block(params: FieldParams, rows: np.ndarray) -> np.ndarray:
+    """The coefficient block of entry rows of symbols, made in ``rows``:
+    the inverse transform in place, coefficients below TRIM_CUTOFF zeroed,
+    trailing zero columns dropped."""
+    from_spectrum(params, rows)
+    rows[np.abs(rows) < TRIM_CUTOFF] = 0
+    return _trim_columns(rows)
+
+
+def _trim_columns(block: np.ndarray) -> np.ndarray:
+    """``block`` without its trailing all-zero columns, as a new array when
+    there are any, so that the wider buffer can go."""
+    nonzero = np.flatnonzero(block.any(axis=0))
+    width = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return block if width == block.shape[1] else block[:, :width].copy()
+
+
 def _seeded_unitary(size: int, *key: int) -> np.ndarray:
     """Gram-Schmidt of a random complex matrix drawn from the seed ``key``,
     redrawn while a pivot is near zero."""
@@ -157,12 +237,7 @@ def _seeded_unitary(size: int, *key: int) -> np.ndarray:
 def constant_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary:
     """Gram-Schmidt of a seeded random complex matrix, as constant symbols."""
     unitary = _seeded_unitary(size, 0xC0, seed)
-    q = params.q
-    entries = tuple(
-        tuple(delta_mask(params, unitary[i, j], slot=0, stride=q) for j in range(size))
-        for i in range(size)
-    )
-    return Paraunitary(params, size, entries)
+    return Paraunitary._of_block(params, size, unitary.reshape(size * size, 1))
 
 
 def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Paraunitary:
@@ -171,28 +246,29 @@ def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Pa
         raise ParameterError("delay position out of range")
     if delay < 0:
         raise ParameterError("delay must be non-negative")
-    q = params.q
-    entries = [[zero_mask(params, q) for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        entries[i][i] = delta_mask(params, 1.0, slot=delay if i == position else 0, stride=q)
-    return Paraunitary(params, size, entries)
-
-
-def mask_adjoint(m: Mask) -> Mask:
-    """Mask of the conjugated symbol: conjugate coefficients at negated indices."""
-    occupied = np.flatnonzero(m.coeffs)
-    slots = [index_sub(m.params, 0, int(k) * m.stride) // m.stride for k in occupied]
-    coeffs = np.zeros(max(slots, default=-1) + 1, dtype=np.complex128)
-    coeffs[slots] = np.conj(m.coeffs[occupied])  # negation permutes the slots
-    return Mask(m.params, coeffs, m.stride)
+    block = np.zeros((size * size, delay + 1), dtype=np.complex128)
+    slots = np.where(np.arange(size) == position, delay, 0)
+    block[np.arange(size) * (size + 1), slots] = 1.0
+    return Paraunitary._of_block(params, size, block)
 
 
 def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
-    """Entry-wise adjoint transpose; compose(a, paraunitary_adjoint(a)) = I."""
-    entries = tuple(
-        tuple(mask_adjoint(a.entries[j][i]) for j in range(a.size)) for i in range(a.size)
-    )
-    return Paraunitary(a.params, a.size, entries)
+    """Entry-wise adjoint transpose; compose(a, paraunitary_adjoint(a)) = I.
+
+    Entry (i, j) is the mask of the conjugated symbol of entry (j, i):
+    conjugate coefficients, moved from index q*k to the negated index,
+    which is a multiple of q again (negation is digit-wise).  Zero
+    coefficients stay 0.0.
+    """
+    size, q = a.size, a.params.q
+    moved = [index_sub(a.params, 0, k * q) // q for k in range(a.coeffs.shape[1])]
+    source = a.coeffs.reshape(size, size, -1).transpose(1, 0, 2).reshape(size * size, -1)
+    adjoint = np.conj(source)
+    adjoint[source == 0] = 0
+    block = np.zeros((size * size, max(moved, default=-1) + 1), dtype=np.complex128)
+    block[:, moved] = adjoint
+    strides = tuple(a.strides[j * size + i] for i in range(size) for j in range(size))
+    return Paraunitary._of_block(a.params, size, _trim_columns(block), strides)
 
 
 def compose(a: Paraunitary, b: Paraunitary) -> Paraunitary:
@@ -212,6 +288,17 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
     samples at the coset representatives, and the product is transformed
     back and certified once.
     """
+    # no name holds the product, so it goes once it is copied into entry
+    # rows, and the rows go once they are trimmed into the block
+    rows = _entry_rows(_seeded_symbols(params, size, seed))
+    block = _entry_block(params, rows)
+    del rows
+    return Paraunitary._of_block(params, size, block)
+
+
+def _seeded_symbols(params: FieldParams, size: int, seed: int) -> np.ndarray:
+    """The factor product of :func:`seeded_paraunitary` at the depth-2 coset
+    representatives, (q, size, size)."""
     rng = np.random.default_rng([0x9A, seed])
     # the unit delay reaches index q, and carry-free products stay on the
     # grid that covers their factors: every factor is sampled at depth 2
@@ -221,7 +308,7 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
         position = int(rng.integers(size))
         prod[:, :, position] *= delay[:, None]  # times delay_block(params, size, position, 1)
         prod = prod @ _seeded_unitary(size, 0xC0, seed + step + 1)
-    return Paraunitary.from_symbols(params, prod)
+    return prod
 
 
 @dataclass(frozen=True)
@@ -327,7 +414,7 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
     for c in range(matrix.size):
         # products [n, l] = entries[l][c] * wavelet n, on the two strides' common lattice
         out = np.einsum("Rl,nRa->nlRa", entries[:, :, c], values)
-        strides = [math.gcd(matrix.entries[l][c].stride, m_n.stride)
+        strides = [math.gcd(matrix.strides[l * matrix.size + c], m_n.stride)
                    for m_n in bank.wavelets for l in range(matrix.size)]
         wavelets = masks_from_symbols(bank.params, out.reshape(len(strides), -1), strides)
         families.append(FilterBank(bank.params, bank.m0, tuple(wavelets)))

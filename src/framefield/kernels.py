@@ -6,8 +6,8 @@ matrix of character values on the depth-e grid is therefore the e-th
 Kronecker power of that table, and ``character_transform`` evaluates a
 batch of coefficient rows on the whole grid with e small matrix products
 (the Chrestenson / Vilenkin fast generalized-Walsh transform, after
-I. J. Good's Kronecker factorization): O(M e q^(e+1)) time and O(M q^e)
-memory for M rows.
+I. J. Good's Kronecker factorization): O(M e q^(e+1)) time for M rows.  It
+overwrites the rows it is given and needs one scratch array of their size.
 
 ``exponent_table`` and ``conj_char_matrix`` build that q-by-q table from
 the field's exponent table.  ``analysis_apply`` and ``synthesis_apply`` are
@@ -58,23 +58,28 @@ def synthesis_apply(coeffs: np.ndarray, branches: np.ndarray, idx: np.ndarray, n
     return out
 
 
-def character_transform(coeffs: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """out[:, x] = sum_j coeffs[:, j] * prod_d factor[j_d, x_d].
+def character_transform(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Overwrite x with out[:, j'] = sum_j x[:, j] * prod_d factor[j_d, j'_d]
+    and return it.
 
-    ``coeffs`` is (M, q^e) and ``factor`` is q-by-q; j_d and x_d are the
-    base-q digits of the column indices j and x, the power-0 digit cycling
-    fastest.  Each step contracts the lowest remaining index digit (the
-    last axis) with one matrix product and rotates the point digit it
-    yields to the front, so after e steps the output is in grid order.
+    ``x`` is a C-contiguous (M, q^e) complex array and ``factor`` is
+    q-by-q; j_d and j'_d are the base-q digits of the column indices, the
+    power-0 digit cycling fastest.  Each step contracts the lowest remaining
+    index digit (the last axis) with one matrix product into a scratch
+    array, then copies the result back with the point digit it yields
+    rotated to the front, so after e steps x is in grid order.
     """
-    m, n = coeffs.shape
+    if not x.flags.c_contiguous:
+        raise ValueError("the character transform works in place on a C-contiguous array")
+    m, n = x.shape
     q = factor.shape[0]
-    out = coeffs
+    scratch = np.empty_like(x)
     size = 1
     while size < n:
-        out = (out.reshape(-1, q) @ factor).reshape(m, -1, q).transpose(0, 2, 1)
+        np.matmul(x.reshape(-1, q), factor, out=scratch.reshape(-1, q))
+        x.reshape(m, q, -1)[...] = scratch.reshape(m, -1, q).transpose(0, 2, 1)
         size *= q
-    return out.reshape(m, n)
+    return x
 
 
 def root_table(p: int) -> np.ndarray:

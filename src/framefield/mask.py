@@ -40,6 +40,9 @@ DEFAULT_MATRIX_TOL = 1e-10
 DEFAULT_CASCADE_TOL = 1e-8
 # coefficients the symbol-domain algebra leaves below this are rounding
 TRIM_CUTOFF = 1e-14
+# complex values per block of a Gram sweep's temporaries (the conjugated
+# columns and the Grams): a few hundred kB whatever the grid
+GRAM_BLOCK = 2 ** 14
 
 
 def _is_power_of(value: int, base: int) -> bool:
@@ -351,12 +354,14 @@ def _stride_groups(masks, lift: int = 0):
 
 def spectrum(params: FieldParams, coeffs: np.ndarray) -> np.ndarray:
     """Character transform of (M, q**e) coefficient rows: column x is
-    sum_j coeffs[:, j] * conj chi_j(x) over the depth-e grid point x."""
+    sum_j coeffs[:, j] * conj chi_j(x) over the depth-e grid point x.
+    ``coeffs`` must be a C-contiguous complex array; the values overwrite
+    it, and it is returned."""
     return kernels.character_transform(coeffs, _character_factor(params))
 
 
 def from_spectrum(params: FieldParams, values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`spectrum`."""
+    """Inverse of :func:`spectrum`, in place in ``values`` as well."""
     # F is sqrt(q) times a unitary table, so F**-1 = conj(F).T / q
     inverse = np.conj(_character_factor(params)).T / params.q
     return kernels.character_transform(values, inverse)
@@ -368,15 +373,24 @@ def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int):
 
     Point digits at power e and above meet only zero index digits (and
     index digits at power e and above only zero point digits), so the rows
-    fold mod q**e before one character transform.
+    fold mod q**e into a new array, which the character transform then
+    overwrites: ``coeffs`` is only read.
     """
     q = params.q
+    m, n = coeffs.shape
     e = 0
-    while e < depth and q ** e < coeffs.shape[1]:
+    while e < depth and q ** e < n:
         e += 1
     check_grid_points(q, e)
-    folded = _fold(coeffs, q ** e).sum(axis=1)
-    return spectrum(params, folded) / math.sqrt(q), e
+    if n <= q ** e:
+        folded = np.zeros((m, q ** e), dtype=np.complex128)
+        # added to zeros, as the sum over folds adds them: -0.0 becomes 0.0
+        folded[:, :n] += coeffs
+    else:
+        folded = _fold(coeffs, q ** e).sum(axis=1)
+    values = spectrum(params, folded)
+    values /= math.sqrt(q)
+    return values, e
 
 
 def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
@@ -401,9 +415,13 @@ def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
     params = masks[0].params
     q = params.q
     check_grid_points(q, depth)
-    values = np.zeros((len(masks), q ** depth), dtype=np.complex128)
+    values = None
     for rows, k, coeffs in _stride_groups(masks, lift):
         table, e = _grid_transform(params, coeffs, depth - k)
+        if len(rows) == len(masks) and k == 0 and e == depth:
+            return table  # one group that reads every digit: its table is the grid
+        if values is None:
+            values = np.zeros((len(masks), q ** depth), dtype=np.complex128)
         # grid index g reads the table at (g // q**k) % q**e
         low = q ** min(k, depth)
         values.reshape(len(masks), -1, q ** e, low)[rows] = table[:, None, :, None]
@@ -418,10 +436,11 @@ def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: 
     One inverse character transform gives each row's coefficients on the
     lattice q**lift * N0; a mask of stride s keeps every (s / q**lift)-th of
     them (the others hold only rounding), and coefficients below
-    TRIM_CUTOFF become zero.
+    TRIM_CUTOFF become zero.  ``symbols`` must be a C-contiguous array the
+    caller gives up: the coefficients overwrite it.
     """
     coeffs = from_spectrum(params, symbols)
-    coeffs = np.where(np.abs(coeffs) < TRIM_CUTOFF, 0.0, coeffs)
+    coeffs[np.abs(coeffs) < TRIM_CUTOFF] = 0
     base = params.q ** lift
     return [Mask(params, row[:: s // base], s) for row, s in zip(coeffs, strides)]
 
@@ -575,12 +594,31 @@ def representative_symbols(masks, depth: int) -> np.ndarray:
     return mask_values_on_grid(masks, depth - 1, lift=1) * math.sqrt(masks[0].params.q)
 
 
+def _rep_blocks(reps: int, per_rep: int):
+    """Slices of ``reps`` coset representatives whose temporaries, at
+    ``per_rep`` complex values per representative, stay near GRAM_BLOCK
+    values (one representative at least)."""
+    step = max(1, GRAM_BLOCK // max(per_rep, 1))
+    return [slice(start, start + step) for start in range(0, reps, step)]
+
+
+def _cross_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A_r* B_r for the matrices A_r = a[:, r, :] and B_r = b[:, r, :]."""
+    return np.einsum("lrk,lrj->rkj", np.conj(a), b)
+
+
 def gram_deviation(cols: np.ndarray) -> np.ndarray:
     """max |A_r* A_r - I| for each matrix A_r = cols[:, r, :] of an (n, R, k)
-    stack, so that mask-by-coset arrays need no transpose."""
-    gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols)
-    gram -= np.eye(cols.shape[2])
-    return np.abs(gram).max(axis=(1, 2))
+    stack, so that mask-by-coset arrays need no transpose.  The Grams are
+    taken a block of representatives at a time."""
+    n, reps, k = cols.shape
+    dev = np.empty(reps)
+    eye = np.eye(k)
+    for block in _rep_blocks(reps, k * max(n, k)):
+        gram = _cross_gram(cols[:, block], cols[:, block])
+        gram -= eye
+        dev[block] = np.abs(gram).max(axis=(1, 2))
+    return dev
 
 
 def sweep_report(condition, depth, swept, deviations, tol, params) -> CheckReport:
@@ -624,8 +662,10 @@ def check_polyphase_unitary(
     # the components' covering depth is swept - 1: one column per coset
     swept = swept_depth(depth, bank.max_index, q)
     gamma = polyphase_symbols(bank)  # (L+1, q, R)
-    # rows of Gamma orthonormal <=> columns of Gamma* orthonormal
-    dev = gram_deviation(np.conj(gamma).transpose(0, 2, 1))
+    # rows of Gamma orthonormal <=> columns of Gamma* orthonormal; the Grams
+    # of Gamma's transposed rows are their conjugates, which deviate from I
+    # by the same magnitudes, so no conjugated copy of Gamma is made
+    dev = gram_deviation(gamma.transpose(0, 2, 1))
     return sweep_report("polyphase_unitary", depth, swept, np.repeat(dev, q), tol, params)
 
 
@@ -647,7 +687,10 @@ def check_mixed_orthogonality(
     swept = swept_depth(depth, max(bankA.max_index, bankB.max_index), params.q)
     va = coset_values(bankA.wavelets, swept)
     vb = coset_values(bankB.wavelets, swept)
-    cross = np.abs(np.einsum("lrk,lrj->rkj", np.conj(va), vb))
-    diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
-    dev = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None])
+    n, reps, q = va.shape
+    dev = np.empty((reps, q))
+    for block in _rep_blocks(reps, q * max(n, q)):
+        cross = np.abs(_cross_gram(va[:, block], vb[:, block]))
+        diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
+        dev[block] = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None])
     return sweep_report("mixed_orthogonality", depth, swept, dev.ravel(), tol, params)

@@ -224,11 +224,13 @@ def _component_symbols(bank: FilterBank, n: int) -> np.ndarray:
 
 def _symbol_product(params: FieldParams, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Inverse transform of table[x mod R] @ (transforms of ``rows`` at x)
-    for every point x, R = len(table): one matrix product per x mod R."""
-    spectra = spectrum(params, rows)
+    for every point x, R = len(table): one matrix product per x mod R.
+    ``rows`` is only read; both transforms run in arrays made here."""
+    spectra = spectrum(params, np.array(rows, dtype=np.complex128, order="C"))
     m, n = spectra.shape
     products = table @ spectra.reshape(m, -1, len(table)).transpose(2, 0, 1)
-    return from_spectrum(params, products.transpose(1, 2, 0).reshape(-1, n))
+    del spectra
+    return from_spectrum(params, np.ascontiguousarray(products.transpose(1, 2, 0).reshape(-1, n)))
 
 
 def analysis_step(signal: np.ndarray, bank: FilterBank) -> np.ndarray:

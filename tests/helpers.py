@@ -1,6 +1,7 @@
 """Test-only constructions: seeded random banks, the reference shifted-column
-gather of the quotient sweep, and the GF(q) and local-field elements that
-no program path needs."""
+gather of the quotient sweep, the allocating character transform, the
+per-mask adjoint, and the GF(q) and local-field elements that no program
+path needs."""
 
 import functools
 
@@ -9,7 +10,7 @@ import numpy as np
 from framefield.construct import _seeded_unitary
 from framefield.errors import ParameterError
 from framefield.galois import FieldParams, GFElem, field_tables, gf_from_digit, gf_mul, gf_one
-from framefield.localfield import FieldElement
+from framefield.localfield import FieldElement, index_sub
 from framefield.mask import FilterBank, Mask
 
 
@@ -54,6 +55,28 @@ def shift_map(params: FieldParams, depth: int) -> np.ndarray:
     out = _shift_map_cached(params, depth)
     out.flags.writeable = False
     return out
+
+
+def reference_character_transform(coeffs: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The allocating route: every digit step makes a new array, and the
+    argument is left as it was."""
+    m, n = coeffs.shape
+    q = factor.shape[0]
+    out = coeffs
+    size = 1
+    while size < n:
+        out = (out.reshape(-1, q) @ factor).reshape(m, -1, q).transpose(0, 2, 1)
+        size *= q
+    return out.reshape(m, n)
+
+
+def mask_adjoint(m: Mask) -> Mask:
+    """Mask of the conjugated symbol: conjugate coefficients at negated indices."""
+    occupied = np.flatnonzero(m.coeffs)
+    slots = [index_sub(m.params, 0, int(k) * m.stride) // m.stride for k in occupied]
+    coeffs = np.zeros(max(slots, default=-1) + 1, dtype=np.complex128)
+    coeffs[slots] = np.conj(m.coeffs[occupied])  # negation permutes the slots
+    return Mask(m.params, coeffs, m.stride)
 
 
 def gf_zero(params: FieldParams) -> GFElem:

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefield import cli
-from framefield.cli import _deferred, _load_json, _write_json, main
+from framefield.cli import _deferred, _load_json, _mask_json, _write_json, main
 from framefield.construct import FramePair, orthogonal_family, seeded_paraunitary
 from framefield.galois import FieldParams
 from framefield.mask import FilterBank, Mask, coeff_pairs, zero_mask
@@ -86,6 +86,36 @@ def test_cli_outputs_are_json_dumps_lines(tmp_path):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, finite, finite)
+# values that repeat, so that one formatted text serves many coefficients
+repeated = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, -3.0,
+                            2.0 ** 53, 1e16, 0.1])
+bank_floats = st.one_of(repeated, finite)
+
+
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    masks=st.lists(
+        st.tuples(st.lists(st.builds(complex, bank_floats, bank_floats), max_size=16),
+                  st.sampled_from([0, 1])),
+        min_size=1, max_size=4,
+    ),
+)
+def test_mask_text_matches_json_dumps(tmp_path_factory, field, masks):
+    params = FieldParams(*field)
+    built = [Mask(params, np.array(c, dtype=np.complex128), params.q ** k) for c, k in masks]
+    for mask in built:
+        for role in (None, "m0", "wavelet"):
+            assert _mask_json(mask, role) == json.dumps(mask.to_json(role), sort_keys=True)
+    bank = FilterBank(params, built[0], tuple(built[1:]))
+    path = tmp_path_factory.mktemp("text") / "bank.json"
+    _write_json(path, bank.to_json(_deferred))
+    assert path.read_text() == dumped(bank.to_json())
+
+
+def test_mask_text_of_non_finite_values_matches_json_dumps(p2):
+    # no file holds them, but the algebra could overflow to them
+    mask = Mask(p2, np.array([np.inf, complex(np.nan, -np.inf), 1.5, complex(-np.inf, 0.0)]))
+    assert _mask_json(mask, "wavelet") == json.dumps(mask.to_json("wavelet"), sort_keys=True)
 
 
 @given(

@@ -1,13 +1,19 @@
 """Canonical banks, paraunitary builders, and the two frame constructions."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from framefield.cli import _load_json
 from framefield.construct import (
     FramePair,
     Paraunitary,
+    _seeded_symbols,
     bank_depth,
     certify_family,
     certify_pair,
@@ -16,7 +22,6 @@ from framefield.construct import (
     delay_block,
     derive_pair,
     haar_bank,
-    mask_adjoint,
     orthogonal_family,
     paraunitary_adjoint,
     require_tight,
@@ -26,18 +31,25 @@ from framefield.errors import ConstructionError, ParameterError
 from framefield.galois import FieldParams
 from framefield.localfield import fe_zero, grid_point
 from framefield.mask import (
+    DEFAULT_MATRIX_TOL,
+    TRIM_CUTOFF,
     FilterBank,
+    Mask,
+    _character_factor,
     check_mixed_orthogonality,
     check_uep,
+    covering_depth,
     delta_mask,
     eval_mask,
     eval_symbol,
     mask_scale,
     mask_values_on_grid,
+    representative_symbols,
+    sweep_report,
     zero_mask,
 )
 
-from helpers import random_bank
+from helpers import mask_adjoint, random_bank, reference_character_transform
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,8 +143,6 @@ def test_compose_with_adjoint_is_identity(p2):
 
 def test_mask_adjoint_conjugates_symbol(p3, rng):
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    from framefield.mask import Mask
-
     m = Mask(p3, coeffs, stride=3)
     adj = mask_adjoint(m)
     for g in range(27):
@@ -332,3 +342,108 @@ def test_require_tight(p2, haar2):
         require_tight(loose, "input")
     assert info.value.report.condition == "uep"
     assert not info.value.report.passed
+
+
+# ---------------------------------------------------------------------------
+# the coefficient block against the per-mask route
+
+
+def reference_from_symbols(params, symbols):
+    """One mask per entry: the entry rows of the stack, as they lie in it,
+    through the allocating inverse transform, trimmed, then cut into masks."""
+    q = params.q
+    size = symbols.shape[1]
+    rows = symbols.transpose(1, 2, 0).reshape(size * size, -1)
+    coeffs = reference_character_transform(rows, np.conj(_character_factor(params)).T / q)
+    coeffs = np.where(np.abs(coeffs) < TRIM_CUTOFF, 0.0, coeffs)
+    flat = [Mask(params, row, q) for row in coeffs]
+    return [flat[i * size : (i + 1) * size] for i in range(size)]
+
+
+def reference_unitarity(params, entries):
+    """The report of one unblocked Gram per coset representative, on the
+    entries' symbols grouped by stride."""
+    flat = [m for row in entries for m in row]
+    depth = covering_depth(max(m.max_index for m in flat), params.q)
+    size = len(entries)
+    values = representative_symbols(flat, depth).reshape(size, size, -1)
+    cols = values.transpose(0, 2, 1)  # (row of the matrix, representative, column)
+    gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols) - np.eye(size)
+    dev = np.abs(gram).max(axis=(1, 2))
+    return sweep_report("paraunitary", depth, depth, np.repeat(dev, params.q),
+                        DEFAULT_MATRIX_TOL, params)
+
+
+def assert_same_entries(got, want):
+    for got_row, want_row in zip(got.entries, want, strict=True):
+        for g, w in zip(got_row, want_row, strict=True):
+            assert g.stride == w.stride
+            assert np.array_equal(g.coeffs.view(np.int64), w.coeffs.view(np.int64))
+
+
+def assert_same_report(got, want):
+    assert got.to_json() == want.to_json()
+    assert np.float64(got.max_deviation).view(np.int64) == np.float64(want.max_deviation).view(np.int64)
+
+
+def test_seeded_paraunitary_memory_is_three_stacks():
+    # the benchmark's largest matrix: 2L = 48 over GF(25), whose symbol
+    # stack at the 25 coset representatives is 0.92 MB; the per-mask
+    # route peaked at 5.5 MB
+    params = FieldParams(5, 2)
+    seeded_paraunitary(params, 2, 0)  # field tables outside the trace
+    stack = params.q * 48 * 48 * 16
+    for seed in (1, 3):
+        tracemalloc.start()
+        try:
+            matrix = seeded_paraunitary(params, 48, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.size == 48
+        assert peak <= 3 * stack
+
+
+@given(field=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]),
+       seed=st.integers(0, 2 ** 16), size=st.integers(1, 4), composed=st.booleans())
+def test_block_round_trip_matches_per_mask_route(field, seed, size, composed):
+    params = FieldParams(*field)
+    symbols = _seeded_symbols(params, size, seed)
+    if composed:
+        # a deeper product: a delayed matrix after the seeded one
+        other = compose(delay_block(params, size, seed % size, 1 + seed % 3),
+                        seeded_paraunitary(params, size, seed + 1))
+        depth = covering_depth(max(other.max_index, 2 * params.q - 1), params.q)
+        first = seeded_paraunitary(params, size, seed)
+        symbols = first.symbols(depth) @ other.symbols(depth)
+    want = reference_from_symbols(params, symbols.copy())
+    matrix = Paraunitary.from_symbols(params, symbols)
+    assert_same_entries(matrix, want)
+    assert_same_report(matrix.unitarity_report(), reference_unitarity(params, want))
+    again = Paraunitary.from_json(json.loads(json.dumps(matrix.to_json())))
+    assert_same_entries(again, want)
+    assert again.coeffs.shape == matrix.coeffs.shape
+    assert np.array_equal(again.coeffs.view(np.int64), matrix.coeffs.view(np.int64))
+    assert_same_report(again.unitarity_report(), reference_unitarity(params, want))
+    # the block adjoint moves each entry as the per-mask adjoint does
+    adjoint = [[mask_adjoint(want[j][i]) for j in range(size)] for i in range(size)]
+    assert_same_entries(paraunitary_adjoint(matrix), adjoint)
+
+
+def test_paraunitary_file_keeps_entry_strides(tmp_path, p3):
+    # zero entries written with stride 1 and a unit entry with stride q**2,
+    # as a user's file may hold them
+    obj = compose(delay_block(p3, 3, 1, 2), delay_block(p3, 3, 2, 1)).to_json()
+    obj["entries"][0][0]["stride"] = 9
+    for row in obj["entries"]:
+        for entry in row:
+            if not entry["coeffs"]:
+                entry["stride"] = 1
+    path = tmp_path / "pu.json"
+    path.write_text(json.dumps(obj))
+    loaded = Paraunitary.from_json(_load_json(path, {}), params=p3)
+    want = [[Mask.from_json(p3, m) for m in row] for row in json.loads(path.read_text())["entries"]]
+    assert {m.stride for row in want for m in row} == {1, 3, 9}
+    assert_same_entries(loaded, want)
+    assert_same_report(loaded.unitarity_report(), reference_unitarity(p3, want))
+    assert Paraunitary.from_json(loaded.to_json()).to_json() == obj

@@ -12,6 +12,7 @@ from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, grid_point
 from framefield.mask import (
     Mask,
+    _character_factor,
     character_table,
     covering_depth,
     eval_mask,
@@ -21,6 +22,8 @@ from framefield.mask import (
     masks_from_symbols,
     spectrum,
 )
+
+from helpers import reference_character_transform
 
 
 def test_root_table_exactness():
@@ -38,8 +41,43 @@ def test_character_transform_is_kronecker_power(rng, q, e):
     dense = np.ones((1, 1))
     for _ in range(e):
         dense = np.kron(factor, dense)
-    out = kernels.character_transform(coeffs, factor)
+    out = kernels.character_transform(coeffs.copy(), factor)
     assert np.allclose(out, coeffs @ dense, atol=1e-12, rtol=0)
+
+
+# field of each q the in-place property runs on
+TRANSFORM_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
+@given(
+    q=st.sampled_from(sorted(TRANSFORM_FIELDS)),
+    e=st.integers(0, 4),
+    rows=st.integers(1, 4),
+    inverse=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_in_place_transform_is_bit_identical(q, e, rows, inverse, seed):
+    factor = _character_factor(FieldParams(*TRANSFORM_FIELDS[q]))
+    if inverse:
+        factor = np.conj(factor).T / q  # the factor from_spectrum uses
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, q ** e)) + 1j * rng.standard_normal((rows, q ** e))
+    # exact and signed zeros among the values
+    for part in (x.real, x.imag):
+        part[rng.random(x.shape) < 0.2] = 0.0
+        part[rng.random(x.shape) < 0.2] = -0.0
+    want = np.ascontiguousarray(reference_character_transform(x.copy(), factor))
+    got = kernels.character_transform(x, factor)
+    assert np.shares_memory(got, x)
+    # bit patterns, so that the sign of every zero must match too
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_transform_rejects_arrays_it_cannot_overwrite(rng):
+    factor = _character_factor(FieldParams(2, 1))
+    x = rng.standard_normal((4, 3)) + 0j
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.character_transform(x.T, factor)
 
 
 @pytest.mark.parametrize("p, c, e", [(2, 1, 6), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
@@ -48,7 +86,7 @@ def test_inverse_transform_recovers_coefficients(rng, p, c, e):
     q = p ** c
     factor = character_table(FieldParams(p, c)) * math.sqrt(q)
     coeffs = rng.standard_normal((3, q ** e)) + 1j * rng.standard_normal((3, q ** e))
-    values = kernels.character_transform(coeffs, factor)
+    values = kernels.character_transform(coeffs.copy(), factor)
     back = kernels.character_transform(values, np.conj(factor).T / q)
     assert np.abs(back - coeffs).max() <= 1e-13
 
@@ -60,7 +98,7 @@ def test_spectrum_pair(rng, p, c, e):
     params = FieldParams(p, c)
     q = params.q
     coeffs = rng.standard_normal((2, q ** e)) + 1j * rng.standard_normal((2, q ** e))
-    values = spectrum(params, coeffs)
+    values = spectrum(params, coeffs.copy())
     for row, got in zip(coeffs, values):
         want = [eval_mask(Mask(params, row), grid_point(params, e, x)) for x in range(q ** e)]
         assert np.abs(got - math.sqrt(q) * np.array(want)).max() <= 1e-12

@@ -8,6 +8,7 @@ to rounding, and a worst point where the reference attains that maximum.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from framefield.construct import Paraunitary
 from framefield.errors import ConstructionError, ParameterError
+from framefield import mask
 from framefield.galois import FieldParams
 from framefield.localfield import grid_point
 from framefield.mask import (
@@ -26,8 +28,10 @@ from framefield.mask import (
     check_polyphase_unitary,
     check_subqmf,
     check_uep,
+    coset_values,
     covering_depth,
     eval_symbol,
+    gram_deviation,
     mask_values_on_grid,
     polyphase_split,
     polyphase_symbols,
@@ -168,3 +172,38 @@ def test_polyphase_symbols_reject_strided_masks(p2, haar2):
     bank = FilterBank(p2, haar2.m0, (Mask(p2, [1.0, 1.0], stride=2),))
     with pytest.raises(ParameterError, match="stride-1"):
         polyphase_symbols(bank)
+
+
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 30), st.integers(1, 6)),
+       block=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_gram_matches_one_einsum(shape, block, seed):
+    # each representative's Gram is the sum one unblocked einsum computes,
+    # bit for bit, whatever the block of representatives
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols)
+    gram -= np.eye(shape[2])
+    want = np.abs(gram).max(axis=(1, 2))
+    with mock.patch.object(mask, "GRAM_BLOCK", block):
+        got = gram_deviation(cols)
+        # conjugated columns have conjugated Grams: the same deviations,
+        # which lets the polyphase check skip its conjugated copy
+        conjugated = gram_deviation(np.conj(cols))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(conjugated.view(np.int64), want.view(np.int64))
+
+
+@given(bank=banks, block=st.integers(1, 200), data=st.data())
+def test_blocked_mixed_check_matches_one_einsum(bank, block, data):
+    dual = random_bank(bank.params, data.draw(st.integers(0, 2 ** 16)),
+                       unitary=data.draw(st.booleans()), max_delay=data.draw(st.integers(0, 3)))
+    depth = covering_depth(max(bank.max_index, dual.max_index), bank.params.q)
+    va, vb = coset_values(bank.wavelets, depth), coset_values(dual.wavelets, depth)
+    cross = np.abs(np.einsum("lrk,lrj->rkj", np.conj(va), vb))
+    diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
+    want = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None]).ravel()
+    with mock.patch.object(mask, "GRAM_BLOCK", block):
+        report = check_mixed_orthogonality(bank, dual, depth)
+    worst = int(np.argmax(want))
+    assert np.float64(report.max_deviation).view(np.int64) == want[worst].view(np.int64)
+    assert grid_index(report.worst_point, depth) == worst

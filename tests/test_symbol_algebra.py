@@ -18,7 +18,6 @@ from framefield.construct import (
     compose,
     constant_paraunitary,
     delay_block,
-    mask_adjoint,
     orthogonal_family,
     paraunitary_adjoint,
     seeded_paraunitary,
@@ -34,7 +33,7 @@ from framefield.mask import (
     zero_mask,
 )
 
-from helpers import random_bank
+from helpers import mask_adjoint, random_bank
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 COEFF_ATOL = 1e-13
