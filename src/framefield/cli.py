@@ -11,7 +11,8 @@ separate ``metadata`` block.
 
 The constructions (``construct``) and the experiments (``verify``) are
 imported by the commands that run them, so ``verify`` starts without
-either.
+either, and only ``experiment --kind mixed`` imports ``construct``, for
+the frame-pair file.
 """
 
 from __future__ import annotations
@@ -359,7 +360,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_experiment(args) -> int:
-    from .construct import FramePair
     from .verify import (
         cascade_phihat,
         mixed_frame_experiment,
@@ -380,6 +380,8 @@ def cmd_experiment(args) -> int:
     if args.kind == "mixed":
         if not args.pair:
             raise ParameterError("experiment mixed needs --pair")
+        from .construct import FramePair
+
         pair_path = Path(args.pair)
         pair = FramePair.from_json(_load_json(pair_path, inputs))
 

@@ -18,40 +18,27 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError
 from .galois import FieldParams
-from .localfield import check_grid_points, index_sub
+from .localfield import index_sub
 from .mask import (
     CheckReport,
     FilterBank,
     Mask,
+    bank_depth,
     character_table,
     check_mixed_orthogonality,
     check_uep,
+    coefficient_rows,
     coset_values,
     covering_depth,
-    delta_mask,
-    from_spectrum,
     gram_deviation,
     masks_from_symbols,
-    representative_symbols,
+    require_tight,
     sweep_report,
     _grid_transform,
     DEFAULT_MATRIX_TOL,
-    TRIM_CUTOFF,
 )
 
 GRAM_SCHMIDT_RETRIES = 8
-
-
-def bank_depth(*banks: FilterBank) -> int:
-    return covering_depth(max(b.max_index for b in banks), banks[0].params.q)
-
-
-def require_tight(bank: FilterBank, label: str) -> None:
-    """Raise ConstructionError, with the report, unless ``bank`` passes the
-    tight-frame (UEP) check at its covering depth."""
-    report = check_uep(bank, bank_depth(bank))
-    if not report.passed:
-        raise ConstructionError(f"{label} bank fails the tight-frame check", report)
 
 
 def haar_bank(params: FieldParams) -> FilterBank:
@@ -149,15 +136,8 @@ class Paraunitary:
         """Entry symbols at the depth-s coset representatives, (R, size, size):
         the block's values at t*x for x on the depth-(s-1) grid, from one
         transform of the whole block."""
-        q = self.params.q
-        check_grid_points(q, depth - 1)
-        table, e = _grid_transform(self.params, self.coeffs, depth - 1)
-        table *= math.sqrt(q)
-        if e < depth - 1:
-            # the entries read no digit at power e and above
-            values = np.empty((len(table), q ** (depth - 1)), dtype=np.complex128)
-            values.reshape(len(table), -1, q ** e)[...] = table[:, None, :]
-            table = values
+        table = _grid_transform(self.params, self.coeffs, depth - 1)
+        table *= math.sqrt(self.params.q)
         return table.reshape(self.size, self.size, -1).transpose(2, 0, 1)
 
     @classmethod
@@ -170,7 +150,7 @@ class Paraunitary:
         size = symbols.shape[1]
         rows = _entry_rows(symbols)
         del symbols
-        block = _entry_block(params, rows)
+        block = _trim_columns(coefficient_rows(params, rows))
         del rows  # only the trimmed block is kept while it is certified
         return cls._of_block(params, size, block)
 
@@ -200,15 +180,6 @@ def _entry_rows(symbols: np.ndarray) -> np.ndarray:
     size = symbols.shape[1]
     rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
     return rows.reshape(size * size, -1)
-
-
-def _entry_block(params: FieldParams, rows: np.ndarray) -> np.ndarray:
-    """The coefficient block of entry rows of symbols, made in ``rows``:
-    the inverse transform in place, coefficients below TRIM_CUTOFF zeroed,
-    trailing zero columns dropped."""
-    from_spectrum(params, rows)
-    rows[np.abs(rows) < TRIM_CUTOFF] = 0
-    return _trim_columns(rows)
 
 
 def _trim_columns(block: np.ndarray) -> np.ndarray:
@@ -291,7 +262,7 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
     # no name holds the product, so it goes once it is copied into entry
     # rows, and the rows go once they are trimmed into the block
     rows = _entry_rows(_seeded_symbols(params, size, seed))
-    block = _entry_block(params, rows)
+    block = _trim_columns(coefficient_rows(params, rows))
     del rows
     return Paraunitary._of_block(params, size, block)
 
@@ -301,8 +272,10 @@ def _seeded_symbols(params: FieldParams, size: int, seed: int) -> np.ndarray:
     representatives, (q, size, size)."""
     rng = np.random.default_rng([0x9A, seed])
     # the unit delay reaches index q, and carry-free products stay on the
-    # grid that covers their factors: every factor is sampled at depth 2
-    delay = representative_symbols([delta_mask(params, 1.0, slot=1, stride=params.q)], 2)[0]
+    # grid that covers their factors: every factor is sampled at depth 2,
+    # whose coset representatives t*x read the delay's raw coefficients at x
+    delay = _grid_transform(params, np.array([[0, 1]], dtype=np.complex128), 1)[0]
+    delay *= math.sqrt(params.q)
     prod = np.repeat(_seeded_unitary(size, 0xC0, seed)[None], len(delay), axis=0)
     for step in range(int(rng.integers(1, 3))):
         position = int(rng.integers(size))

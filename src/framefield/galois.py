@@ -87,14 +87,7 @@ def _poly_rem(a, b, p):
 
 
 def _is_irreducible(modulus, p, c) -> bool:
-    """No roots for degree 2-3; no monic factor of degree <= c//2 for c >= 4."""
-    if c == 1:
-        return True
-    if c in (2, 3):
-        return all(
-            sum(coef * pow(x, i, p) for i, coef in enumerate(modulus)) % p != 0
-            for x in range(p)
-        )
+    """No monic factor of degree <= c//2 (for c <= 3, no root)."""
     for deg in range(1, c // 2 + 1):
         for code in range(p ** deg):
             cand = [(code // p ** i) % p for i in range(deg)] + [1]
@@ -256,10 +249,10 @@ def _primitive_powers(params: FieldParams) -> np.ndarray:
 def field_tables(params: FieldParams):
     """Dense operation tables on integer codes, for the numeric kernels.
 
-    Returns an object with int64 arrays ``add``/``sub``/``mul`` of shape (q, q),
-    ``neg``/``inv``/``proj0`` of shape (q,).  ``inv[0]`` is 0 by convention.
-    Sums are digit-wise mod p; products and inverses go through the discrete
-    logarithm to a primitive element g, a*b = g**(log a + log b).
+    Returns an object with int64 arrays ``add``/``sub``/``mul`` of shape (q, q)
+    and ``proj0`` of shape (q,).  Sums are digit-wise mod p; products go
+    through the discrete logarithm to a primitive element g,
+    a*b = g**(log a + log b).
     """
     p, q = params.p, params.q
     place = p ** np.arange(params.c, dtype=np.int64)
@@ -274,9 +267,7 @@ def field_tables(params: FieldParams):
     log[exp] = np.arange(q - 1)
     mul = np.zeros((q, q), dtype=np.int64)
     mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = exp[-log[1:] % (q - 1)]
-    return _Tables(add=add, sub=sub, mul=mul, neg=neg, inv=inv, proj0=coords[:, 0].copy())
+    return _Tables(add=add, sub=sub, mul=mul, proj0=coords[:, 0].copy())
 
 
 @dataclass(frozen=True)
@@ -284,6 +275,4 @@ class _Tables:
     add: np.ndarray
     sub: np.ndarray
     mul: np.ndarray
-    neg: np.ndarray
-    inv: np.ndarray
     proj0: np.ndarray

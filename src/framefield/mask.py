@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DepthError, ParameterError
+from .errors import ConstructionError, DepthError, ParameterError
 from .galois import FieldParams, field_tables
 from .localfield import (
     FieldElement,
@@ -297,19 +297,14 @@ def eval_symbol(m: Mask, xi: FieldElement) -> complex:
 
 
 @functools.lru_cache(maxsize=None)
-def _tmod(params: FieldParams) -> np.ndarray:
-    """tmod[a, b]: character exponent of the product of digit codes a, b."""
-    tab = field_tables(params)
-    return tab.proj0[tab.mul]
-
-
-@functools.lru_cache(maxsize=None)
 def _character_factor(params: FieldParams) -> np.ndarray:
     """F[a, x] = conj chi(t * u(a) * u(x)), the one-digit factor of every
     character value: conj chi_j(xi) = prod_d F[j_d, xi_d] over the base-q
     digits of j and the power-d digits of xi."""
+    tab = field_tables(params)
     codes = np.arange(params.q, dtype=np.int64)[:, None]
-    exps = kernels.exponent_table(codes, codes, _tmod(params), params.p)
+    # the character exponent of the product of digit codes a and b
+    exps = kernels.exponent_table(codes, codes, tab.proj0[tab.mul], params.p)
     out = kernels.conj_char_matrix(exps, params.p)
     out.flags.writeable = False
     return out
@@ -367,21 +362,21 @@ def from_spectrum(params: FieldParams, values: np.ndarray) -> np.ndarray:
     return kernels.character_transform(values, inverse)
 
 
-def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int):
-    """Values of stride-1 coefficient rows on the depth-e grid, as
-    (values, e) with e = min(depth, base-q digits of the last slot).
+def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndarray:
+    """Values of stride-1 coefficient rows on the depth-s grid, (M, q**s).
 
-    Point digits at power e and above meet only zero index digits (and
-    index digits at power e and above only zero point digits), so the rows
-    fold mod q**e into a new array, which the character transform then
-    overwrites: ``coeffs`` is only read.
+    Let e = min(s, base-q digits of the last slot).  Point digits at power
+    e and above meet only zero index digits (and index digits at power e
+    and above only zero point digits), so the rows fold mod q**e into a
+    new array, which the character transform then overwrites (``coeffs``
+    is only read), and the values repeat over the digits above.
     """
     q = params.q
+    check_grid_points(q, depth)
     m, n = coeffs.shape
     e = 0
     while e < depth and q ** e < n:
         e += 1
-    check_grid_points(q, e)
     if n <= q ** e:
         folded = np.zeros((m, q ** e), dtype=np.complex128)
         # added to zeros, as the sum over folds adds them: -0.0 becomes 0.0
@@ -390,23 +385,20 @@ def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int):
         folded = _fold(coeffs, q ** e).sum(axis=1)
     values = spectrum(params, folded)
     values /= math.sqrt(q)
-    return values, e
+    return values if e == depth else np.tile(values, q ** (depth - e))
 
 
 def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
     """Values of several masks at points given by their digit rows.
 
     ``point_digits[g, i]`` is the digit of point g at power i; digits beyond
-    the matrix width are zero.  Returns an array of shape (len(masks), npts).
+    the matrix width are zero, and the masks read none at or above their
+    covering depth.  Returns an array of shape (len(masks), npts).
     """
-    params = masks[0].params
-    q = params.q
-    width = point_digits.shape[1]
-    values = np.zeros((len(masks), point_digits.shape[0]), dtype=np.complex128)
-    for rows, k, coeffs in _stride_groups(masks):
-        table, e = _grid_transform(params, coeffs, width - k)
-        values[rows] = table[:, point_digits[:, k : k + e] @ (q ** np.arange(e, dtype=np.int64))]
-    return values
+    q = masks[0].params.q
+    depth = min(point_digits.shape[1], covering_depth(max(m.max_index for m in masks), q))
+    table = mask_values_on_grid(masks, depth)
+    return table[:, point_digits[:, :depth] @ (q ** np.arange(depth, dtype=np.int64))]
 
 
 def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
@@ -417,30 +409,35 @@ def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
     check_grid_points(q, depth)
     values = None
     for rows, k, coeffs in _stride_groups(masks, lift):
-        table, e = _grid_transform(params, coeffs, depth - k)
-        if len(rows) == len(masks) and k == 0 and e == depth:
-            return table  # one group that reads every digit: its table is the grid
+        table = _grid_transform(params, coeffs, max(depth - k, 0))
+        if len(rows) == len(masks) and k == 0:
+            return table  # one stride-1 group: its table is the grid
         if values is None:
             values = np.zeros((len(masks), q ** depth), dtype=np.complex128)
-        # grid index g reads the table at (g // q**k) % q**e
-        low = q ** min(k, depth)
-        values.reshape(len(masks), -1, q ** e, low)[rows] = table[:, None, :, None]
+        # grid index g reads the table at g // q**k
+        values.reshape(len(masks), -1, q ** min(k, depth))[rows] = table[:, :, None]
     return values
+
+
+def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
+    """Inverse of sqrt(q) * _grid_transform: coefficient rows from their
+    symbols on the depth-e grid, (M, q**e), with those below TRIM_CUTOFF
+    zeroed.  The coefficients overwrite ``symbols``, a C-contiguous array
+    the caller gives up, and it is returned."""
+    coeffs = from_spectrum(params, symbols)
+    coeffs[np.abs(coeffs) < TRIM_CUTOFF] = 0
+    return coeffs
 
 
 def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: int = 0) -> list:
     """Inverse of sqrt(q) * mask_values_on_grid(masks, e, lift): the masks
     whose symbol values at t**lift * x, for x on the depth-e grid in grid
-    order, are the rows of ``symbols`` (M, q**e).
-
-    One inverse character transform gives each row's coefficients on the
-    lattice q**lift * N0; a mask of stride s keeps every (s / q**lift)-th of
-    them (the others hold only rounding), and coefficients below
-    TRIM_CUTOFF become zero.  ``symbols`` must be a C-contiguous array the
-    caller gives up: the coefficients overwrite it.
+    order, are the rows of ``symbols`` (M, q**e), given up as for
+    :func:`coefficient_rows`.  A row's coefficients lie on the lattice
+    q**lift * N0; a mask of stride s keeps every (s / q**lift)-th of them
+    (the others hold only rounding).
     """
-    coeffs = from_spectrum(params, symbols)
-    coeffs[np.abs(coeffs) < TRIM_CUTOFF] = 0
+    coeffs = coefficient_rows(params, symbols)
     base = params.q ** lift
     return [Mask(params, row[:: s // base], s) for row, s in zip(coeffs, strides)]
 
@@ -529,8 +526,8 @@ def polyphase_symbols(bank: FilterBank) -> np.ndarray:
     q = params.q
     ((_, _, coeffs),) = _stride_groups(bank.masks)
     rows = _fold(coeffs, q).transpose(0, 2, 1).reshape(len(coeffs) * q, -1)
-    values, e = _grid_transform(params, rows, covering_depth(bank.max_index, q) - 1)
-    return (values * math.sqrt(q)).reshape(len(coeffs), q, q ** e)
+    values = _grid_transform(params, rows, covering_depth(bank.max_index, q) - 1)
+    return (values * math.sqrt(q)).reshape(len(coeffs), q, -1)
 
 
 def polyphase_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
@@ -553,6 +550,10 @@ def covering_depth(max_index: int, q: int) -> int:
     while q ** depth <= max_index:
         depth += 1
     return depth
+
+
+def bank_depth(*banks: FilterBank) -> int:
+    return covering_depth(max(b.max_index for b in banks), banks[0].params.q)
 
 
 def _require_depth(depth: int, max_index: int, q: int):
@@ -581,17 +582,6 @@ def coset_values(masks, depth: int) -> np.ndarray:
     so [:, r, :] holds the modulation matrix at r up to a column permutation.
     """
     return mask_values_on_grid(masks, depth).reshape(len(masks), -1, masks[0].params.q)
-
-
-def representative_symbols(masks, depth: int) -> np.ndarray:
-    """Symbol values of stride-q masks at the q^(s-1) coset representatives
-    (the depth-s points with digit 0 at power 0, in grid order), shape
-    (M, q^(s-1)); such symbols ignore the digit at power 0.
-
-    The representatives are t * x for x on the depth-(s-1) grid, where a
-    stride-q mask reads x as the stride-1 mask of its raw coefficients.
-    """
-    return mask_values_on_grid(masks, depth - 1, lift=1) * math.sqrt(masks[0].params.q)
 
 
 def _rep_blocks(reps: int, per_rep: int):
@@ -642,6 +632,14 @@ def check_uep(bank: FilterBank, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> 
     swept = swept_depth(depth, bank.max_index, params.q)
     dev = gram_deviation(coset_values(bank.masks, swept))
     return sweep_report("uep", depth, swept, np.repeat(dev, params.q), tol, params)
+
+
+def require_tight(bank: FilterBank, label: str) -> None:
+    """Raise ConstructionError, with the report, unless ``bank`` passes the
+    tight-frame (UEP) check at its covering depth."""
+    report = check_uep(bank, bank_depth(bank))
+    if not report.passed:
+        raise ConstructionError(f"{label} bank fails the tight-frame check", report)
 
 
 def check_subqmf(m0: Mask, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:

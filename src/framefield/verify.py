@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import FramePair, covering_depth, require_tight
 from .errors import CoverageError, DepthError, ParameterError
 from .galois import FieldParams
 from .localfield import FieldElement, check_grid_points
@@ -25,11 +24,13 @@ from .mask import (
     FilterBank,
     Mask,
     _require_normalized,
+    covering_depth,
     eval_mask,
     from_spectrum,
     make_report,
     mask_values_on_grid,
     polyphase_symbols,
+    require_tight,
     spectrum,
 )
 

@@ -605,6 +605,25 @@ def test_benchmark_tracer_runs_a_cli_op(tmp_path):
     assert spans.is_file()
 
 
+def test_experiments_run_without_the_construction_module(tmp_path):
+    # verify needs only the mask layer, and only a mixed experiment reads a
+    # frame-pair file: neither the import nor a cascade run loads construct
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    args = ["experiment", "--kind", "cascade", "--bank", str(bank), "--out", str(tmp_path / "c.json")]
+    script = "\n".join([
+        "import sys",
+        "import framefield.verify",
+        "assert 'framefield.construct' not in sys.modules, 'import'",
+        "from framefield.cli import main",
+        f"assert main({args!r}) == 0",
+        "assert 'framefield.construct' not in sys.modules, 'cascade'",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_console_main_freezes_the_start_up_objects(tmp_path, monkeypatch):
     # the collections at interpreter exit then skip numpy's and framefield's
     # module state; main() itself, which runs in process here, never freezes

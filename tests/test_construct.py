@@ -44,7 +44,6 @@ from framefield.mask import (
     eval_symbol,
     mask_scale,
     mask_values_on_grid,
-    representative_symbols,
     sweep_report,
     zero_mask,
 )
@@ -366,7 +365,9 @@ def reference_unitarity(params, entries):
     flat = [m for row in entries for m in row]
     depth = covering_depth(max(m.max_index for m in flat), params.q)
     size = len(entries)
-    values = representative_symbols(flat, depth).reshape(size, size, -1)
+    # stride-q symbols at the coset representatives t*x, x on the depth-(s-1) grid
+    values = mask_values_on_grid(flat, depth - 1, lift=1) * math.sqrt(params.q)
+    values = values.reshape(size, size, -1)
     cols = values.transpose(0, 2, 1)  # (row of the matrix, representative, column)
     gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols) - np.eye(size)
     dev = np.abs(gram).max(axis=(1, 2))

@@ -8,6 +8,7 @@ from framefield.galois import (
     DEFAULT_MODULI,
     FieldParams,
     GFElem,
+    _is_irreducible,
     field_tables,
     gf_add,
     gf_from_digit,
@@ -114,15 +115,13 @@ def test_prime_field_mul_matches_integers(p):
 
 
 def _scalar_tables(params):
-    """The six tables through the scalar gf_* route, entry by entry."""
+    """The four tables through the scalar gf_* route, entry by entry."""
     elems = all_elems(params)
     add = np.array([[gf_to_digit(gf_add(a, b)) for b in elems] for a in elems])
     mul = np.array([[gf_to_digit(gf_mul(a, b)) for b in elems] for a in elems])
     sub = np.array([[gf_to_digit(gf_add(a, gf_neg(b))) for b in elems] for a in elems])
-    neg = np.array([gf_to_digit(gf_neg(a)) for a in elems])
-    inv = np.array([0] + [gf_to_digit(gf_inv(a)) for a in elems[1:]])
     proj0 = np.array([gf_proj0(a) for a in elems])
-    return {"add": add, "sub": sub, "mul": mul, "neg": neg, "inv": inv, "proj0": proj0}
+    return {"add": add, "sub": sub, "mul": mul, "proj0": proj0}
 
 
 # every built-in modulus with q <= 32, and prime fields
@@ -148,10 +147,33 @@ def test_large_tables_match_elementwise_ops_on_random_pairs(p, c, rng):
         assert tab.add[i, j] == gf_to_digit(gf_add(a, b))
         assert tab.sub[i, j] == gf_to_digit(gf_add(a, gf_neg(b)))
         assert tab.mul[i, j] == gf_to_digit(gf_mul(a, b))
-        assert tab.neg[i] == gf_to_digit(gf_neg(a))
         assert tab.proj0[i] == gf_proj0(a)
-        if i:
-            assert tab.inv[i] == gf_to_digit(gf_inv(a))
+
+
+def _monic(code, deg, p):
+    return tuple((code // p ** i) % p for i in range(deg)) + (1,)
+
+
+def _poly_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_matches_every_product_of_monic_factors(p):
+    for c in (2, 3, 4):
+        reducible = {
+            _poly_product(_monic(i, d, p), _monic(j, c - d, p), p)
+            for d in range(1, c)
+            for i in range(p ** d)
+            for j in range(p ** (c - d))
+        }
+        for code in range(p ** c):
+            modulus = _monic(code, c, p)
+            assert _is_irreducible(modulus, p, c) == (modulus not in reducible), (p, modulus)
 
 
 def test_bad_params_rejected():

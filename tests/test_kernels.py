@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefield import kernels
+from framefield.construct import seeded_paraunitary
 from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, grid_point
 from framefield.mask import (
     Mask,
     _character_factor,
+    _grid_transform,
     character_table,
     covering_depth,
     eval_mask,
@@ -78,6 +80,50 @@ def test_transform_rejects_arrays_it_cannot_overwrite(rng):
     x = rng.standard_normal((4, 3)) + 0j
     with pytest.raises(ValueError, match="C-contiguous"):
         kernels.character_transform(x.T, factor)
+
+
+@given(
+    q=st.sampled_from(sorted(TRANSFORM_FIELDS)),
+    rows=st.integers(1, 4),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 32 - 1),
+    data=st.data(),
+)
+def test_grid_transform_is_one_transform_repeated(q, rows, n, seed, data):
+    # the rows fold mod q**e, transform at the depth e their last slot
+    # needs (capped at s), and repeat over the digits at power e and above
+    params = FieldParams(*TRANSFORM_FIELDS[q])
+    full = 0
+    while q ** full < n:
+        full += 1
+    depth = data.draw(st.integers(0, full + 2), label="depth")
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    e = min(depth, full)
+    # one numpy sum over the folds, so that the rounding matches
+    padded = np.zeros((rows, -(-n // q ** e) * q ** e), dtype=np.complex128)
+    padded[:, :n] = coeffs
+    folded = padded.reshape(rows, -1, q ** e).sum(axis=1)
+    want = reference_character_transform(folded, _character_factor(params)) / math.sqrt(q)
+    want = np.tile(want, q ** (depth - e))
+    got = _grid_transform(params, coeffs, depth)
+    assert got.shape == (rows, q ** depth)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+    size=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 16),
+    extra=st.integers(1, 2),
+)
+def test_paraunitary_symbols_repeat_above_covering_depth(field, size, seed, extra):
+    params = FieldParams(*field)
+    matrix = seeded_paraunitary(params, size, seed)
+    cover = matrix.depth()
+    want = np.tile(matrix.symbols(cover), (params.q ** extra, 1, 1))
+    got = np.ascontiguousarray(matrix.symbols(cover + extra))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("p, c, e", [(2, 1, 6), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
@@ -149,6 +195,18 @@ def test_values_at_digits_match_eval_mask(problem):
     params, masks, rows = problem
     values = mask_values_at_digits(masks, rows)
     points = [FieldElement(params, 0, tuple(int(d) for d in row)) for row in rows]
+    ref = np.array([[eval_mask(m, x) for x in points] for m in masks])
+    assert np.abs(values - ref).max() <= 1e-13
+
+
+def test_short_masks_accept_digit_rows_wider_than_the_grid_cap(p2, rng):
+    # 2**30 points is past the grid cap, but masks of at most 4 slots read
+    # only the digits below their covering depth
+    masks = [Mask(p2, rng.standard_normal(n) + 1j * rng.standard_normal(n), stride)
+             for n, stride in [(4, 1), (3, 1), (2, 2), (1, 4)]]
+    rows = rng.integers(0, 2, size=(16, 30))
+    values = mask_values_at_digits(masks, rows)
+    points = [FieldElement(p2, 0, tuple(int(d) for d in row)) for row in rows]
     ref = np.array([[eval_mask(m, x) for x in points] for m in masks])
     assert np.abs(values - ref).max() <= 1e-13
 
