@@ -24,9 +24,11 @@ from .mask import (
     FilterBank,
     Mask,
     bank_depth,
+    block_masks,
     character_table,
     check_mixed_orthogonality,
     check_uep,
+    coefficient_block,
     coefficient_rows,
     coset_values,
     covering_depth,
@@ -48,21 +50,16 @@ def haar_bank(params: FieldParams) -> FilterBank:
     j takes the j-th character-table row, so the modulation matrix is
     unitary at every point and every check below passes exactly.
     """
-    table = character_table(params)
-    masks = [Mask(params, table[j, :]) for j in range(params.q)]
-    return FilterBank(params, masks[0], tuple(masks[1:]))
+    return FilterBank._of_block(params, character_table(params), (1,) * params.q)
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Paraunitary:
     """Square matrix of stride-q symbols, unitary at every grid point.
 
-    The entries are one (size**2, n) coefficient block on the stride-q
-    lattice: row i*size + j is entry (i, j), with its coefficient of index
-    q*k in column k.  ``strides`` keeps each entry's own stride; a
-    stride-q**m entry fills every q**(m-1)-th column, and a zero entry may
-    have any stride.  The block's last column holds a nonzero coefficient.
-    Entry masks are made only for ``entries`` and the JSON form.
+    The entries are one ``coefficient_block`` on the stride-q lattice (a
+    FilterBank's is on the stride-1 lattice), row i*size + j holding entry
+    (i, j).  Entry masks are made only for ``entries`` and the JSON form.
     """
 
     params: FieldParams
@@ -76,18 +73,9 @@ class Paraunitary:
         if len(entries) != size or any(len(row) != size for row in entries):
             raise ParameterError(f"entries must form a {size}x{size} matrix")
         flat = [m for row in entries for m in row]
-        q = params.q
-        for m in flat:
-            if m.params != params:
-                raise ParameterError("entries must share the matrix field parameters")
-            if not m.is_zero() and m.stride % q != 0:
-                raise ParameterError("paraunitary entries must be stride-q symbols")
-        width = max((m.max_index // q + 1 for m in flat), default=0)
-        block = np.zeros((len(flat), width), dtype=np.complex128)
-        for row, m in zip(block, flat):
-            if not m.is_zero():
-                row[: m.max_index // q + 1 : m.stride // q] = m.coeffs
-        self._certify(params, size, block, tuple(m.stride for m in flat))
+        if any(m.params != params for m in flat):
+            raise ParameterError("entries must share the matrix field parameters")
+        self._certify(params, size, *coefficient_block(params, flat, params.q))
 
     @classmethod
     def _of_block(cls, params: FieldParams, size: int, block: np.ndarray, strides=None):
@@ -103,9 +91,8 @@ class Paraunitary:
         coefficient, and check it."""
         block.flags.writeable = False
         max_index = (block.shape[1] - 1) * params.q if block.shape[1] else -1
-        for name, value in (("params", params), ("size", size), ("coeffs", block),
-                            ("strides", strides), ("max_index", max_index)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(params=params, size=size, coeffs=block, strides=strides,
+                             max_index=max_index)
         report = self.unitarity_report()
         if not report.passed:
             raise ConstructionError(
@@ -115,9 +102,7 @@ class Paraunitary:
     @functools.cached_property
     def entries(self) -> tuple:
         """The entries as masks, row by row."""
-        q = self.params.q
-        flat = [Mask(self.params, row[:: max(stride // q, 1)], stride)
-                for row, stride in zip(self.coeffs, self.strides)]
+        flat = block_masks(self.params, self.coeffs, self.strides, self.params.q)
         return tuple(tuple(flat[i * self.size : (i + 1) * self.size]) for i in range(self.size))
 
     def depth(self) -> int:
@@ -317,18 +302,18 @@ class FramePair:
         return cls(primal, dual)
 
 
-def _product_symbols(matrix: Paraunitary, wavelets):
-    """Samples for products of matrix entries with wavelet masks on the grid
-    that covers both: entry symbols at the coset representatives,
-    (R, size, size), and wavelet symbols on the grid, (L, R, q)."""
-    q = matrix.params.q
-    depth = covering_depth(max([matrix.max_index] + [w.max_index for w in wavelets]), q)
-    return matrix.symbols(depth), coset_values(wavelets, depth) * math.sqrt(q)
+def _product_symbols(matrix: Paraunitary, wavelets: np.ndarray):
+    """Samples for products of matrix entries with the wavelet rows of a
+    block on the grid that covers both: entry symbols at the coset
+    representatives, (R, size, size), and wavelet symbols, (L, R, q)."""
+    params = matrix.params
+    depth = covering_depth(max(matrix.max_index, wavelets.shape[1] - 1), params.q)
+    return matrix.symbols(depth), coset_values(params, wavelets, depth) * math.sqrt(params.q)
 
 
 def _mix_wavelets(matrix: Paraunitary, column_offset: int, wavelets) -> list:
     """Row k of the output: sum_l entries[k][column_offset+l] * wavelets[l]."""
-    entries, values = _product_symbols(matrix, wavelets)
+    entries, values = _product_symbols(matrix, coefficient_block(matrix.params, wavelets)[0])
     block = entries[:, :, column_offset : column_offset + len(wavelets)]
     out = np.einsum("Rkl,lRa->kRa", block, values).reshape(matrix.size, -1)
     return masks_from_symbols(matrix.params, out, [1] * matrix.size)
@@ -382,13 +367,13 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
     if bank.params != matrix.params:
         raise ParameterError("bank and matrix must share field parameters")
     require_tight(bank, "input")
-    entries, values = _product_symbols(matrix, bank.wavelets)
+    entries, values = _product_symbols(matrix, bank.coeffs[1:])
     families = []
     for c in range(matrix.size):
         # products [n, l] = entries[l][c] * wavelet n, on the two strides' common lattice
         out = np.einsum("Rl,nRa->nlRa", entries[:, :, c], values)
-        strides = [math.gcd(matrix.strides[l * matrix.size + c], m_n.stride)
-                   for m_n in bank.wavelets for l in range(matrix.size)]
+        strides = [math.gcd(matrix.strides[l * matrix.size + c], stride)
+                   for stride in bank.strides[1:] for l in range(matrix.size)]
         wavelets = masks_from_symbols(bank.params, out.reshape(len(strides), -1), strides)
         families.append(FilterBank(bank.params, bank.m0, tuple(wavelets)))
     return families

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import ConstructionError, DepthError, ParameterError
+from .errors import ConstructionError, DepthError, ParameterError, SizeError
 from .galois import FieldParams, field_tables
 from .localfield import (
+    MAX_GRID_POINTS,
     FieldElement,
     check_grid_points,
     chi_n,
@@ -45,12 +47,15 @@ TRIM_CUTOFF = 1e-14
 GRAM_BLOCK = 2 ** 14
 
 
-def _is_power_of(value: int, base: int) -> bool:
-    if value < 1:
-        return False
-    while value % base == 0:
-        value //= base
-    return value == 1
+def _check_stride(stride: int, q: int) -> None:
+    if stride < 1 or q ** round(math.log(stride, q)) != stride:
+        raise ParameterError(f"stride must be a power of q, got {stride}")
+
+
+def _trimmed(coeffs: np.ndarray) -> np.ndarray:
+    """``coeffs`` without its trailing zeros, as a view."""
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs[: nonzero[-1] + 1] if nonzero.size else coeffs[:0]
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,16 @@ class Mask:
     stride: int = 1
 
     def __post_init__(self):
-        if self.stride != 1 and not _is_power_of(self.stride, self.params.q):
-            raise ParameterError(f"stride must be a power of q, got {self.stride}")
+        _check_stride(self.stride, self.params.q)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.ndim != 1:
             raise ParameterError("coefficients must be one-dimensional")
-        nz = np.nonzero(coeffs)[0]
-        coeffs = coeffs[: nz[-1] + 1].copy() if nz.size else np.zeros(0, dtype=np.complex128)
+        coeffs, owner = _trimmed(coeffs), coeffs.base
+        # a contiguous row of a frozen array that owns its data (a bank's
+        # block) is kept; anything a caller could still write to is copied
+        frozen = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+        if coeffs.flags.writeable or not (frozen and coeffs.flags.c_contiguous):
+            coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -94,19 +102,27 @@ class Mask:
 
     @classmethod
     def from_json(cls, params: FieldParams, obj: dict) -> "Mask":
-        """The mask of a ``to_json`` object, whose ``coeffs`` may also be
-        the (n, 2) array :func:`coeff_pairs` makes of that list."""
-        try:
-            pairs = coeff_pairs(obj["coeffs"])
-            stride = int(obj.get("stride", 1))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"bad mask object: {exc}") from exc
-        # checked here, where input enters, rather than on every Mask the
-        # algebra builds from finite values
-        if not np.isfinite(pairs).all():
-            raise ParameterError("mask coefficients must be finite")
-        # each [re, im] row read as one complex value, signed zeros kept
-        return cls(params, pairs.view(np.complex128)[:, 0], stride)
+        return cls(params, *mask_row(params, obj))
+
+
+MaskRow = namedtuple("MaskRow", "coeffs stride")  # a Mask's data, without the Mask
+
+
+def mask_row(params: FieldParams, obj: dict) -> MaskRow:
+    """The row of a ``Mask.to_json`` object (its ``coeffs`` may also be the
+    array :func:`coeff_pairs` makes of them), checked as a Mask checks it."""
+    try:
+        pairs = coeff_pairs(obj["coeffs"])
+        stride = int(obj.get("stride", 1))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"bad mask object: {exc}") from exc
+    # checked here, where input enters, rather than on every Mask the
+    # algebra builds from finite values
+    if not np.isfinite(pairs).all():
+        raise ParameterError("mask coefficients must be finite")
+    _check_stride(stride, params.q)
+    # each [re, im] row read as one complex value, signed zeros kept
+    return MaskRow(pairs.view(np.complex128)[:, 0], stride)
 
 
 def coeff_pairs(coeffs) -> np.ndarray:
@@ -136,44 +152,84 @@ def zero_mask(params: FieldParams, stride: int = 1) -> Mask:
     return Mask(params, np.zeros(0), stride)
 
 
-def delta_mask(params: FieldParams, value: complex = 1.0, slot: int = 0, stride: int = 1) -> Mask:
-    coeffs = np.zeros(slot + 1, dtype=np.complex128)
-    coeffs[slot] = value
-    return Mask(params, coeffs, stride)
-
-
 def _require_normalized(m0_at_zero: complex) -> None:
     # written so that a NaN value fails too
     if not abs(m0_at_zero - 1.0) <= 1e-12:
         raise ParameterError(f"refinement mask is not normalized: m0(0) = {m0_at_zero}")
 
 
-@dataclass(frozen=True)
+def coefficient_block(params: FieldParams, masks, base: int = 1) -> tuple:
+    """The read-only (M, n) block of ``masks`` (or MaskRows), and their
+    strides.  Column k holds the coefficient of index base*k, so a stride-s
+    mask fills every (s/base)-th column: the same mask, zero-interleaved (a
+    zero mask may have any stride).  n is the fewest columns that hold every
+    nonzero coefficient; past q * MAX_GRID_POINTS, where every grid that
+    covers them is past the cap, SizeError is raised before allocating."""
+    rows = [(_trimmed(m.coeffs), m.stride) for m in masks]
+    if any(len(coeffs) and stride % base for coeffs, stride in rows):
+        raise ParameterError(f"masks of a stride below {base} do not lie on the lattice {base}*N0")
+    width = max(((len(c) - 1) * s // base + 1 for c, s in rows if len(c)), default=0)
+    if width > params.q * MAX_GRID_POINTS:
+        raise SizeError(f"a block of {width} columns exceeds the {params.q * MAX_GRID_POINTS} cap")
+    block = np.zeros((len(rows), width), dtype=np.complex128)
+    for row, (coeffs, stride) in zip(block, rows):
+        row[:: max(stride // base, 1)][: len(coeffs)] = coeffs
+    block.flags.writeable = False
+    return block, tuple(stride for _, stride in rows)
+
+
+def block_masks(params: FieldParams, coeffs: np.ndarray, strides, base: int = 1) -> list:
+    """Inverse of :func:`coefficient_block`: a stride-s row's mask reads
+    every (s/base)-th column (the others hold zeros or rounding)."""
+    return [Mask(params, row[:: max(s // base, 1)], s) for row, s in zip(coeffs, strides)]
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FilterBank:
-    """A refinement mask plus wavelet masks over shared field parameters."""
+    """A refinement mask plus wavelet masks over shared field parameters,
+    kept as one stride-1 :func:`coefficient_block` (row 0 is m0) whose last
+    column is nonzero.  ``m0``, ``wavelets`` and ``masks`` are the masks the
+    bank was built from, else made from the block when first read."""
 
     params: FieldParams
-    m0: Mask
-    wavelets: tuple
+    coeffs: np.ndarray
+    strides: tuple
 
-    def __post_init__(self):
-        wavelets = tuple(self.wavelets)
-        for m in (self.m0, *wavelets):
-            if m.params != self.params:
-                raise ParameterError("all masks of a bank must share field parameters")
-        object.__setattr__(self, "wavelets", wavelets)
+    def __init__(self, params: FieldParams, m0: Mask, wavelets):
+        masks = (m0, *wavelets)
+        if any(m.params != params for m in masks):
+            raise ParameterError("all masks of a bank must share field parameters")
+        block, strides = coefficient_block(params, masks)
+        self.__dict__.update(params=params, coeffs=block, strides=strides,
+                             m0=m0, wavelets=masks[1:])
 
-    @property
+    @classmethod
+    def _of_block(cls, params: FieldParams, coeffs: np.ndarray, strides) -> "FilterBank":
+        """The bank of a stride-1 block whose last column is nonzero, kept read-only."""
+        coeffs.flags.writeable = False
+        bank = cls.__new__(cls)
+        bank.__dict__.update(params=params, coeffs=coeffs, strides=tuple(strides))
+        return bank
+
+    @functools.cached_property
+    def m0(self) -> Mask:
+        return block_masks(self.params, self.coeffs[:1], self.strides[:1])[0]
+
+    @functools.cached_property
+    def wavelets(self) -> tuple:
+        return tuple(block_masks(self.params, self.coeffs[1:], self.strides[1:]))
+
+    @functools.cached_property
     def masks(self) -> tuple:
         return (self.m0, *self.wavelets)
 
     @property
     def n_wavelets(self) -> int:
-        return len(self.wavelets)
+        return len(self.coeffs) - 1
 
     @property
     def max_index(self) -> int:
-        return max(m.max_index for m in self.masks)
+        return self.coeffs.shape[1] - 1
 
     def to_json(self, mask_json=Mask.to_json) -> dict:
         """The bank as a JSON object, with ``mask_json(mask, role)`` in
@@ -187,31 +243,22 @@ class FilterBank:
 
     @classmethod
     def from_json(cls, obj: dict, *, require_normalized: bool = True) -> "FilterBank":
+        """The bank of a ``to_json`` object, each mask's row copied into the block."""
         try:
             params = FieldParams.from_json(obj["field"])
-            m0 = None
-            wavelets = []
-            for mobj in obj["masks"]:
-                mask = Mask.from_json(params, mobj)
-                if mobj.get("role") == "m0":
-                    if m0 is not None:
-                        raise ParameterError("bank declares more than one refinement mask")
-                    m0 = mask
-                else:
-                    wavelets.append(mask)
-            if m0 is None:
-                raise ParameterError("bank declares no refinement mask")
+            rows = [mask_row(params, mobj) for mobj in obj["masks"]]
+            m0 = [i for i, mobj in enumerate(obj["masks"]) if mobj.get("role") == "m0"]
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"bad bank object: {exc}") from exc
-        bank = cls(params, m0, tuple(wavelets))
+        if len(m0) != 1:
+            raise ParameterError(f"bank declares {len(m0)} refinement masks, not one")
+        rows.insert(0, rows.pop(m0[0]))
+        bank = cls._of_block(params, *coefficient_block(params, rows))
         if require_normalized:
-            from .localfield import fe_zero
-
-            # finite coefficients can still overflow to a NaN m0(0), which
-            # the check rejects: no warning needs to precede its error
+            # m0(0), the sum of m0's coefficients over sqrt(q), can overflow
+            # to inf or NaN, which the check rejects without a warning first
             with np.errstate(over="ignore", invalid="ignore"):
-                at_zero = eval_mask(m0, fe_zero(params))
-            _require_normalized(at_zero)
+                _require_normalized(_grid_transform(params, bank.coeffs[:1], 0)[0, 0])
         return bank
 
 
@@ -325,28 +372,6 @@ def _fold(coeffs: np.ndarray, size: int) -> np.ndarray:
     return padded.reshape(len(coeffs), -1, size)
 
 
-def _stride_groups(masks, lift: int = 0):
-    """Masks grouped by stride, as (rows, k, coeffs): the group's rows in
-    ``masks``, its coefficients zero-padded to one length, and k such that
-    at the points t**lift * x the group acts as stride-q**k masks at x.
-
-    A stride-q**k' mask with k' >= lift reads x from power k' - lift on; for
-    k' < lift its lowest lift - k' index digits meet zero digits, so the
-    coefficients that differ only in those digits add up.
-    """
-    q = masks[0].params.q
-    for stride in sorted({m.stride for m in masks}):
-        rows = [i for i, m in enumerate(masks) if m.stride == stride]
-        coeffs = np.zeros((len(rows), max(len(masks[i].coeffs) for i in rows)), dtype=np.complex128)
-        for r, i in enumerate(rows):
-            coeffs[r, : len(masks[i].coeffs)] = masks[i].coeffs
-        k = round(math.log(stride, q)) - lift
-        if k < 0:
-            coeffs = _fold(coeffs, q ** -k).sum(axis=2)
-            k = 0
-        yield rows, k, coeffs
-
-
 def spectrum(params: FieldParams, coeffs: np.ndarray) -> np.ndarray:
     """Character transform of (M, q**e) coefficient rows: column x is
     sum_j coeffs[:, j] * conj chi_j(x) over the depth-e grid point x.
@@ -395,28 +420,24 @@ def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
     the matrix width are zero, and the masks read none at or above their
     covering depth.  Returns an array of shape (len(masks), npts).
     """
-    q = masks[0].params.q
-    depth = min(point_digits.shape[1], covering_depth(max(m.max_index for m in masks), q))
-    table = mask_values_on_grid(masks, depth)
-    return table[:, point_digits[:, :depth] @ (q ** np.arange(depth, dtype=np.int64))]
+    params = masks[0].params
+    block, _ = coefficient_block(params, masks)
+    depth = min(point_digits.shape[1], covering_depth(block.shape[1] - 1, params.q))
+    table = _grid_transform(params, block, depth)
+    return table[:, point_digits[:, :depth] @ (params.q ** np.arange(depth, dtype=np.int64))]
 
 
 def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
     """Values of several masks at t**lift * x for every point x of the
-    depth-s grid, in grid order."""
+    depth-s grid, in grid order.  Index digits below power ``lift`` meet
+    zero point digits, so a block finer than q**lift * N0 folds onto it."""
     params = masks[0].params
-    q = params.q
-    check_grid_points(q, depth)
-    values = None
-    for rows, k, coeffs in _stride_groups(masks, lift):
-        table = _grid_transform(params, coeffs, max(depth - k, 0))
-        if len(rows) == len(masks) and k == 0:
-            return table  # one stride-1 group: its table is the grid
-        if values is None:
-            values = np.zeros((len(masks), q ** depth), dtype=np.complex128)
-        # grid index g reads the table at g // q**k
-        values.reshape(len(masks), -1, q ** min(k, depth))[rows] = table[:, :, None]
-    return values
+    lattice = params.q ** lift
+    base = math.gcd(lattice, *(m.stride for m in masks))
+    block, _ = coefficient_block(params, masks, base)
+    if base < lattice:
+        block = _fold(block, lattice // base).sum(axis=2)
+    return _grid_transform(params, block, depth)
 
 
 def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
@@ -437,9 +458,7 @@ def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: 
     q**lift * N0; a mask of stride s keeps every (s / q**lift)-th of them
     (the others hold only rounding).
     """
-    coeffs = coefficient_rows(params, symbols)
-    base = params.q ** lift
-    return [Mask(params, row[:: s // base], s) for row, s in zip(coeffs, strides)]
+    return block_masks(params, coefficient_rows(params, symbols), strides, params.q ** lift)
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +488,9 @@ def mask_add(a: Mask, b: Mask) -> Mask:
     """Coefficient-wise sum on the common index lattice."""
     if a.params != b.params:
         raise ParameterError("masks belong to different fields")
-    out_stride = math.gcd(a.stride, b.stride)
-    n = max(a.max_index, b.max_index)
-    if n < 0:
-        return zero_mask(a.params, out_stride)
-    coeffs = np.zeros(n // out_stride + 1, dtype=np.complex128)
-    for m in (a, b):
-        step = m.stride // out_stride
-        coeffs[: len(m.coeffs) * step : step] += m.coeffs
-    return Mask(a.params, coeffs, out_stride)
-
-
-def mask_scale(m: Mask, scalar: complex) -> Mask:
-    return Mask(m.params, m.coeffs * scalar, m.stride)
+    stride = math.gcd(a.stride, b.stride)
+    block, _ = coefficient_block(a.params, [a, b], stride)
+    return Mask(a.params, block.sum(axis=0), stride)
 
 
 def trim_mask(m: Mask, cutoff: float = TRIM_CUTOFF) -> Mask:
@@ -520,14 +529,12 @@ def polyphase_symbols(bank: FilterBank) -> np.ndarray:
     the values at the coset representative t*x, and any point x of a
     deeper grid reads column x mod q**e.  e is one less than the bank's
     covering depth."""
-    if any(m.stride != 1 for m in bank.masks):
+    if any(s != 1 for s in bank.strides):
         raise ParameterError("polyphase decomposition expects stride-1 masks")
-    params = bank.params
-    q = params.q
-    ((_, _, coeffs),) = _stride_groups(bank.masks)
-    rows = _fold(coeffs, q).transpose(0, 2, 1).reshape(len(coeffs) * q, -1)
-    values = _grid_transform(params, rows, covering_depth(bank.max_index, q) - 1)
-    return (values * math.sqrt(q)).reshape(len(coeffs), q, -1)
+    q = bank.params.q
+    rows = _fold(bank.coeffs, q).transpose(0, 2, 1).reshape(len(bank.coeffs) * q, -1)
+    values = _grid_transform(bank.params, rows, covering_depth(bank.max_index, q) - 1)
+    return (values * math.sqrt(q)).reshape(len(bank.coeffs), q, -1)
 
 
 def polyphase_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
@@ -576,12 +583,11 @@ def swept_depth(depth: int, max_index: int, q: int) -> int:
     return min(depth, covering_depth(max_index, q))
 
 
-def coset_values(masks, depth: int) -> np.ndarray:
-    """Mask values on the depth-s grid as an (M, q^(s-1), q) array:
-    entry [l, r, a] is mask l at coset representative r plus a at power 0,
-    so [:, r, :] holds the modulation matrix at r up to a column permutation.
-    """
-    return mask_values_on_grid(masks, depth).reshape(len(masks), -1, masks[0].params.q)
+def coset_values(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndarray:
+    """Values of stride-1 block rows on the depth-s grid, (M, q^(s-1), q):
+    entry [l, r, a] is row l at coset representative r plus a at power 0,
+    so [:, r, :] is the modulation matrix at r up to a column permutation."""
+    return _grid_transform(params, coeffs, depth).reshape(len(coeffs), -1, params.q)
 
 
 def _rep_blocks(reps: int, per_rep: int):
@@ -630,7 +636,7 @@ def check_uep(bank: FilterBank, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> 
     """
     params = bank.params
     swept = swept_depth(depth, bank.max_index, params.q)
-    dev = gram_deviation(coset_values(bank.masks, swept))
+    dev = gram_deviation(coset_values(params, bank.coeffs, swept))
     return sweep_report("uep", depth, swept, np.repeat(dev, params.q), tol, params)
 
 
@@ -646,7 +652,7 @@ def check_subqmf(m0: Mask, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> Check
     """One-sided bound sum_k |m0(xi + t*u(k))|^2 <= 1 over the grid."""
     params = m0.params
     swept = swept_depth(depth, m0.max_index, params.q)
-    sums = (np.abs(coset_values([m0], swept)[0]) ** 2).sum(axis=1)
+    sums = (np.abs(mask_values_on_grid([m0], swept).reshape(-1, params.q)) ** 2).sum(axis=1)
     dev = np.maximum(0.0, sums - 1.0)
     return sweep_report("subqmf", depth, swept, np.repeat(dev, params.q), tol, params)
 
@@ -683,8 +689,7 @@ def check_mixed_orthogonality(
         raise ParameterError("banks must have the same number of wavelet masks")
     params = bankA.params
     swept = swept_depth(depth, max(bankA.max_index, bankB.max_index), params.q)
-    va = coset_values(bankA.wavelets, swept)
-    vb = coset_values(bankB.wavelets, swept)
+    va, vb = (coset_values(params, bank.coeffs[1:], swept) for bank in (bankA, bankB))
     n, reps, q = va.shape
     dev = np.empty((reps, q))
     for block in _rep_blocks(reps, q * max(n, q)):

@@ -23,6 +23,7 @@ from .mask import (
     CheckReport,
     FilterBank,
     Mask,
+    _grid_transform,
     _require_normalized,
     covering_depth,
     eval_mask,
@@ -254,7 +255,7 @@ def synthesis_step(branches: np.ndarray, bank: FilterBank) -> np.ndarray:
     l of the convolutions of h_{l,r} with branch l, sum_l H_{l,r} * B_l in
     the character domain."""
     branches = np.asarray(branches, dtype=np.complex128)
-    if branches.ndim != 2 or branches.shape[0] != len(bank.masks):
+    if branches.ndim != 2 or branches.shape[0] != len(bank.coeffs):
         raise ParameterError("branches must be an (L+1, n/q) array matching the bank")
     n_out = branches.shape[1] * bank.params.q
     table = _component_symbols(bank, n_out)
@@ -399,23 +400,21 @@ def multiplier_orthogonality_check(
         j_lo = max(j_lo, -dilations)
         j_hi = min(j_hi, dilations)
     base_depth = g_hat.j_pos
-    n_wavelets = primal.n_wavelets
-    tables = mask_values_on_grid(
-        [primal.m0, dual.m0, *primal.wavelets, *dual.wavelets], support_depth
-    )
-    for m0_at_zero in tables[:2, 0]:
-        _require_normalized(m0_at_zero)
+    tables = [_grid_transform(params, bank.coeffs, support_depth) for bank in (primal, dual)]
+    for table in tables:
+        _require_normalized(table[0, 0])
     g = np.arange(q ** base_depth, dtype=np.int64)
     total = np.zeros(len(g), dtype=np.complex128)
     for j in range(j_lo, j_hi + 1):
         # x = t**-j xi; the wavelets and the cascades are read at t*x, the
         # cascades as the factors m0(t**k xi), k = 2-j..s-1, past which
         # every factor is m0(0) = 1
-        wavelets = tables[2:, _dilated_index(g, 1 - j, q, support_depth)]
-        cross = np.sum(wavelets[:n_wavelets] * np.conj(wavelets[n_wavelets:]), axis=0)
+        at = _dilated_index(g, 1 - j, q, support_depth)
+        cross = np.sum(tables[0][1:, at] * np.conj(tables[1][1:, at]), axis=0)
         scaling = np.ones((2, len(g)), dtype=np.complex128)
         for k in range(2 - j, support_depth):
-            scaling *= tables[:2, _dilated_index(g, k, q, support_depth)]
+            at = _dilated_index(g, k, q, support_depth)
+            scaling *= (tables[0][0, at], tables[1][0, at])
         hat = _dilated_index(g, g_hat.j_neg - j, q, g_hat.width)
         total += (cross * scaling[0] * np.conj(scaling[1])
                   * g_hat.values[hat] * np.conj(h_hat.values[hat]))

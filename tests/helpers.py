@@ -1,7 +1,7 @@
-"""Test-only constructions: seeded random banks, the reference shifted-column
-gather of the quotient sweep, the allocating character transform, the
-per-mask adjoint, and the GF(q) and local-field elements that no program
-path needs."""
+"""Test-only constructions: seeded random banks, delta and scaled masks, the
+reference shifted-column gather of the quotient sweep, the allocating
+character transform, the per-mask adjoint, and the GF(q) and local-field
+elements that no program path needs."""
 
 import functools
 
@@ -39,6 +39,16 @@ def random_bank(
         coeffs = coeffs + noise * bump
     masks = [Mask(params, coeffs[l]) for l in range(q)]
     return FilterBank(params, masks[0], tuple(masks[1:]))
+
+
+def delta_mask(params: FieldParams, value: complex = 1.0, slot: int = 0, stride: int = 1) -> Mask:
+    coeffs = np.zeros(slot + 1, dtype=np.complex128)
+    coeffs[slot] = value
+    return Mask(params, coeffs, stride)
+
+
+def mask_scale(m: Mask, scalar: complex) -> Mask:
+    return Mask(m.params, m.coeffs * scalar, m.stride)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,10 +20,10 @@ import pytest
 import framefield
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
 from framefield.construct import derive_pair, seeded_paraunitary
-from framefield.mask import FilterBank, mask_scale, mask_values_on_grid, zero_mask
+from framefield.mask import FilterBank, mask_values_on_grid, zero_mask
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
 
-from helpers import random_bank
+from helpers import mask_scale, random_bank
 
 
 def run(args):
@@ -213,6 +213,30 @@ def test_memory_exhaustion_exits_3(tmp_path, haar2):
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert "out of memory" in done.stderr
+
+
+@pytest.mark.parametrize("power", [28, 62])
+def test_banks_and_matrices_wider_than_any_grid_exit_3(tmp_path, p2, haar2, power):
+    # a two-coefficient wavelet of stride 2**power spans 2**power + 1 block
+    # columns: the block is refused before it is allocated, under a cap
+    # far below its size
+    obj = haar2.to_json()
+    obj["masks"][1] = {"role": "wavelet", "stride": 2 ** power, "coeffs": [[1.0, 0.0], [1.0, 0.0]]}
+    bank = tmp_path / "wide.json"
+    bank.write_text(json.dumps(obj))
+    pu = seeded_paraunitary(p2, 2, seed=1).to_json()
+    pu["entries"][1][0] = obj["masks"][1]
+    pu_file = tmp_path / "pu.json"
+    pu_file.write_text(json.dumps(pu))
+    haar = tmp_path / "haar2.json"
+    haar.write_text(json.dumps(haar2.to_json()))
+    for args in (["verify", bank, "--out", tmp_path / "r.json"],
+                 ["experiment", "--kind", "parseval", "--bank", bank, "--out", tmp_path / "e.json"],
+                 ["family", "--bank", haar, "--paraunitary", pu_file, "--out-dir", tmp_path / "f"]):
+        done = _run_limited(args)
+        assert done.returncode == 3, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 
 def test_unknown_backend_variable_is_ignored(tmp_path):

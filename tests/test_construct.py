@@ -39,16 +39,14 @@ from framefield.mask import (
     check_mixed_orthogonality,
     check_uep,
     covering_depth,
-    delta_mask,
     eval_mask,
     eval_symbol,
-    mask_scale,
     mask_values_on_grid,
     sweep_report,
     zero_mask,
 )
 
-from helpers import mask_adjoint, random_bank, reference_character_transform
+from helpers import delta_mask, mask_adjoint, mask_scale, random_bank, reference_character_transform
 
 SQRT2 = math.sqrt(2.0)
 

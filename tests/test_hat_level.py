@@ -24,7 +24,6 @@ from framefield.mask import (
     FilterBank,
     covering_depth,
     eval_mask,
-    mask_scale,
     mask_values_on_grid,
 )
 from framefield.verify import (
@@ -37,7 +36,7 @@ from framefield.verify import (
     partition_sums,
 )
 
-from helpers import random_bank
+from helpers import mask_scale, random_bank
 
 CASCADE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
 MULTIPLIER_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]

@@ -12,6 +12,7 @@ from framefield.construct import seeded_paraunitary
 from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, grid_point
 from framefield.mask import (
+    FilterBank,
     Mask,
     _character_factor,
     _grid_transform,
@@ -99,6 +100,9 @@ def test_grid_transform_is_one_transform_repeated(q, rows, n, seed, data):
     depth = data.draw(st.integers(0, full + 2), label="depth")
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    # rows of a stride-1 bank are its masks, zero-padded to the longest
+    for row in coeffs[1:]:
+        row[data.draw(st.integers(0, n), label="length"):] = 0
     e = min(depth, full)
     # one numpy sum over the folds, so that the rounding matches
     padded = np.zeros((rows, -(-n // q ** e) * q ** e), dtype=np.complex128)
@@ -108,6 +112,10 @@ def test_grid_transform_is_one_transform_repeated(q, rows, n, seed, data):
     want = np.tile(want, q ** (depth - e))
     got = _grid_transform(params, coeffs, depth)
     assert got.shape == (rows, q ** depth)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    masks = [Mask(params, row) for row in coeffs]
+    bank = FilterBank(params, masks[0], masks[1:])
+    got = _grid_transform(params, bank.coeffs, depth)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

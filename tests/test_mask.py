@@ -29,12 +29,10 @@ from framefield.mask import (
     check_polyphase_unitary,
     check_subqmf,
     check_uep,
-    delta_mask,
     eval_mask,
     eval_symbol,
     mask_add,
     mask_mul,
-    mask_scale,
     mask_values_at_digits,
     mask_values_on_grid,
     modulation_matrix,
@@ -43,7 +41,7 @@ from framefield.mask import (
     zero_mask,
 )
 
-from helpers import random_bank, shift_map
+from helpers import delta_mask, mask_scale, random_bank, shift_map
 
 SQRT2 = math.sqrt(2.0)
 

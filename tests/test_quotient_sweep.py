@@ -198,7 +198,8 @@ def test_blocked_mixed_check_matches_one_einsum(bank, block, data):
     dual = random_bank(bank.params, data.draw(st.integers(0, 2 ** 16)),
                        unitary=data.draw(st.booleans()), max_delay=data.draw(st.integers(0, 3)))
     depth = covering_depth(max(bank.max_index, dual.max_index), bank.params.q)
-    va, vb = coset_values(bank.wavelets, depth), coset_values(dual.wavelets, depth)
+    va = coset_values(bank.params, bank.coeffs[1:], depth)
+    vb = coset_values(dual.params, dual.coeffs[1:], depth)
     cross = np.abs(np.einsum("lrk,lrj->rkj", np.conj(va), vb))
     diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
     want = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None]).ravel()

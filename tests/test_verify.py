@@ -20,7 +20,7 @@ from framefield.construct import (
 from framefield.errors import ConstructionError, CoverageError, DepthError, ParameterError
 from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, fe_prime_power, fe_zero, index_add, u_map
-from framefield.mask import FilterBank, Mask, check_uep, eval_mask, mask_scale, zero_mask
+from framefield.mask import FilterBank, Mask, check_uep, eval_mask, zero_mask
 from framefield.verify import (
     HatGrid,
     analysis_step,
@@ -36,7 +36,7 @@ from framefield.verify import (
     synthesis_step,
 )
 
-from helpers import random_bank
+from helpers import mask_scale, random_bank
 
 SQRT2 = math.sqrt(2.0)
 
