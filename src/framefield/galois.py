@@ -7,9 +7,11 @@ in [0, q); ``gf_from_digit`` / ``gf_to_digit`` convert between the two.
 
 Multiplication reduces the product polynomial naively mod the modulus and
 mod p; at the scales this package targets (q <= a few thousand) this is
-fast and easy to audit.  ``field_tables`` materializes the full q-by-q
-operation tables once per parameter set for the numeric kernels, with
-array arithmetic and the discrete logarithm to a primitive element.
+fast and easy to audit.  Sums of elements are carry-free base-p sums of
+their codes.  The characters see a product only through proj0(a*b) =
+a^T M b mod p, and ``field_tables`` returns that c-by-c Hankel form M: the
+field state of the numeric kernels.  ``log_tables``, the discrete
+logarithm, serves only the per-point reference route.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ def is_prime(n: int) -> bool:
 
 
 def _tables_fit(p: int, c: int) -> bool:
-    """Whether a q-by-q table of int64, q = p**c, has at most sys.maxsize
-    bytes.  q grows one factor at a time, so a huge c stops early."""
-    limit = sys.maxsize // 8
+    """Whether the q-by-q complex character table, q = p**c, has at most
+    sys.maxsize bytes.  q grows one factor at a time, so a huge c stops early."""
+    limit = sys.maxsize // 16
     q = 1
     for _ in range(c):
         q *= p
@@ -118,7 +120,9 @@ class FieldParams:
         # time that grows with q
         if not _tables_fit(self.p, self.c):
             field = f"GF({self.p})" if self.c == 1 else f"GF({self.p}^{self.c})"
-            raise SizeError(f"{field} needs q-by-q int64 tables larger than the address space")
+            raise SizeError(
+                f"{field} needs a q-by-q complex character table larger than the address space"
+            )
         if not is_prime(self.p):
             raise ParameterError(f"p must be prime, got {self.p!r}")
         modulus = tuple(self.modulus)
@@ -230,7 +234,7 @@ def gf_to_digit(a: GFElem) -> int:
     return sum(x * p ** i for i, x in enumerate(a.coords))
 
 
-def _primitive_powers(params: FieldParams) -> np.ndarray:
+def _primitive_powers(params: FieldParams) -> list:
     """Codes of g**0, ..., g**(q-2) for the primitive element g of smallest code."""
     one = gf_one(params)
     for code in range(1, params.q):
@@ -241,38 +245,27 @@ def _primitive_powers(params: FieldParams) -> np.ndarray:
             powers.append(gf_to_digit(x))
             x = gf_mul(x, g)
         if len(powers) == params.q - 1:
-            return np.array(powers, dtype=np.int64)
+            return powers
     raise ParameterError("no primitive element found; field parameters are inconsistent")
 
 
 @functools.lru_cache(maxsize=None)
-def field_tables(params: FieldParams):
-    """Dense operation tables on integer codes, for the numeric kernels.
-
-    Returns an object with int64 arrays ``add``/``sub``/``mul`` of shape (q, q)
-    and ``proj0`` of shape (q,).  Sums are digit-wise mod p; products go
-    through the discrete logarithm to a primitive element g,
-    a*b = g**(log a + log b).
-    """
-    p, q = params.p, params.q
-    place = p ** np.arange(params.c, dtype=np.int64)
-    coords = (np.arange(q, dtype=np.int64)[:, None] // place) % p
-    add = np.zeros((q, q), dtype=np.int64)
-    for i in range(params.c):
-        add += ((coords[:, None, i] + coords[None, :, i]) % p) * place[i]
-    neg = ((-coords) % p) @ place
-    sub = add[:, neg]
+def log_tables(params: FieldParams) -> tuple:
+    """Lists exp[k] = g**k and log[g**k] = k for the primitive element g:
+    a*b = exp[(log a + log b) mod (q-1)] for nonzero codes a and b."""
     exp = _primitive_powers(params)
-    log = np.zeros(q, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
-    mul = np.zeros((q, q), dtype=np.int64)
-    mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-    return _Tables(add=add, sub=sub, mul=mul, proj0=coords[:, 0].copy())
+    log = [0] * params.q
+    for k, code in enumerate(exp):
+        log[code] = k
+    return exp, log
 
 
-@dataclass(frozen=True)
-class _Tables:
-    add: np.ndarray
-    sub: np.ndarray
-    mul: np.ndarray
-    proj0: np.ndarray
+@functools.lru_cache(maxsize=None)
+def field_tables(params: FieldParams) -> np.ndarray:
+    """The read-only c-by-c Hankel form M[i, j] = proj0(z**(i+j)):
+    proj0(a*b) = a^T M b mod p for coordinate vectors a and b."""
+    p, c = params.p, params.c
+    proj0 = [(_poly_rem([0] * k + [1], params.modulus, p) or [0])[0] for k in range(2 * c - 1)]
+    hankel = np.array([[proj0[i + j] for j in range(c)] for i in range(c)], dtype=np.int64)
+    hankel.flags.writeable = False
+    return hankel

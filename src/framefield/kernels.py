@@ -10,10 +10,12 @@ I. J. Good's Kronecker factorization): O(M e q^(e+1)) time for M rows.  It
 overwrites the rows it is given and needs one scratch array of their size.
 
 ``exponent_table`` and ``conj_char_matrix`` build that q-by-q table from
-the field's exponent table.  ``analysis_apply`` and ``synthesis_apply`` are
-the dense gather/scatter reference for one filter-bank level (the package
-runs it as polyphase products in ``verify``); tests compare against them,
-and ``perfbench/tracer.py`` hooks them by name.
+the field's c-by-c Hankel form M, as the c-fold Kronecker power of the
+p-by-p table conj omega**(i*j) with columns permuted by x -> Mx.
+``analysis_apply`` and ``synthesis_apply`` are the dense gather/scatter
+reference for one filter-bank level (the package runs it as polyphase
+products in ``verify``); tests compare against them, and
+``perfbench/tracer.py`` hooks them by name.
 """
 
 from __future__ import annotations
@@ -31,18 +33,15 @@ __all__ = [
 
 
 def exponent_table(a_digits: np.ndarray, b_digits: np.ndarray, tmod: np.ndarray, p: int) -> np.ndarray:
-    """E[i, j] = sum_d tmod[a_digits[i, d], b_digits[j, d]]  (mod p).
-
-    ``tmod[a, b]`` is the character exponent of the GF(q) product of digit
-    codes a and b; summing it over matching digit positions gives the
-    exponent of the Walsh character pairing the two digit strings.
-    """
+    """E[i, j] = sum_d tmod[a_digits[i, d], b_digits[j, d]]  (mod p),
+    reduced in place.  With the coordinates of digit codes a and M x and
+    the p-by-p product table, E is the character exponent a^T M x."""
     na, s = a_digits.shape
     nb = b_digits.shape[0]
     out = np.zeros((na, nb), dtype=np.int64)
     for d in range(s):
         out += tmod[a_digits[:, d][:, None], b_digits[None, :, d]]
-    return out % p
+    return np.remainder(out, p, out=out)
 
 
 def analysis_apply(coeffs: np.ndarray, signal: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -94,6 +93,6 @@ def root_table(p: int) -> np.ndarray:
 
 
 def conj_char_matrix(exponents: np.ndarray, p: int) -> np.ndarray:
-    """conj of omega**E looked up in the exact root table."""
-    roots = root_table(p)
-    return roots[(p - exponents) % p]
+    """conj of omega**E looked up in the exact root table: one gather from
+    the table reindexed by k -> -k mod p."""
+    return root_table(p)[-np.arange(p) % p][exponents]

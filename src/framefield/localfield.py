@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, SizeError
-from .galois import FieldParams, field_tables
+from .galois import FieldParams, log_tables
 from .kernels import root_table
 
 MAX_GRID_POINTS = 1 << 22
@@ -113,6 +113,20 @@ def _check_shared(x: FieldElement, y: FieldElement):
         raise ParameterError("operands belong to different fields")
 
 
+def _carry_free(p: int, m: int, n: int, sign: int = 1) -> int:
+    """Base-p digit-wise m + sign*n mod p: the sum or difference of digit
+    codes (whose base-p digits are coordinates) and of indices alike."""
+    if m < 0 or n < 0:
+        raise RangeError("indices must be non-negative")
+    out, place = 0, 1
+    while m or n:
+        m, a = divmod(m, p)
+        n, b = divmod(n, p)
+        out += (a + sign * b) % p * place
+        place *= p
+    return out
+
+
 def lf_add(x: FieldElement, y: FieldElement) -> FieldElement:
     """Digit-wise GF(q) addition after aligning valuations."""
     _check_shared(x, y)
@@ -120,10 +134,10 @@ def lf_add(x: FieldElement, y: FieldElement) -> FieldElement:
         return y
     if y.is_zero():
         return x
-    add = field_tables(x.params).add
+    p = x.params.p
     lo = min(x.v, y.v)
     hi = max(x.v + len(x.digits), y.v + len(y.digits))
-    digits = [int(add[x.digit_at(j), y.digit_at(j)]) for j in range(lo, hi)]
+    digits = [_carry_free(p, x.digit_at(j), y.digit_at(j)) for j in range(lo, hi)]
     return FieldElement(x.params, lo, tuple(digits))
 
 
@@ -132,63 +146,45 @@ def lf_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     _check_shared(x, y)
     if x.is_zero() or y.is_zero():
         return fe_zero(x.params)
-    tab = field_tables(x.params)
+    p, order = x.params.p, x.params.q - 1
+    exp, log = log_tables(x.params)
     out = [0] * (len(x.digits) + len(y.digits) - 1)
     for i, a in enumerate(x.digits):
         if a == 0:
             continue
         for j, b in enumerate(y.digits):
-            out[i + j] = int(tab.add[out[i + j], tab.mul[a, b]])
+            if b:
+                out[i + j] = _carry_free(p, out[i + j], exp[(log[a] + log[b]) % order])
     result = FieldElement(x.params, x.v + y.v, tuple(out))
     assert result.v == x.v + y.v, "leading digits of a field product cannot cancel"
     return result
-
-
-def _base_q_digits(n: int, q: int) -> list:
-    if n == 0:
-        return []
-    out = []
-    while n:
-        n, r = divmod(n, q)
-        out.append(r)
-    return out
 
 
 def u_map(params: FieldParams, n: int) -> FieldElement:
     """Coset representative u(n): base-q digit b_i of n lands at power -(i+1)."""
     if n < 0:
         raise RangeError("u(n) is defined for non-negative n")
-    b = _base_q_digits(n, params.q)
-    return FieldElement(params, -len(b), tuple(reversed(b)))
-
-
-def _index_digitwise(table: np.ndarray, q: int, m: int, n: int) -> int:
-    """Digit-wise table[a, b] over the base-q digits of m and n."""
-    if m < 0 or n < 0:
-        raise RangeError("indices must be non-negative")
-    out, shift = 0, 1
-    while m or n:
-        m, a = divmod(m, q)
-        n, b = divmod(n, q)
-        out += int(table[a, b]) * shift
-        shift *= q
-    return out
+    digits = []
+    while n:
+        n, b = divmod(n, params.q)
+        digits.append(b)
+    return FieldElement(params, -len(digits), tuple(reversed(digits)))
 
 
 def index_add(params: FieldParams, m: int, n: int) -> int:
     """Carry-free index group law: u(m) + u(n) = u(index_add(m, n))."""
-    return _index_digitwise(field_tables(params).add, params.q, m, n)
+    return _carry_free(params.p, m, n)
 
 
 def index_sub(params: FieldParams, m: int, n: int) -> int:
     """Inverse of index_add: index_sub(index_add(m, n), n) = m."""
-    return _index_digitwise(field_tables(params).sub, params.q, m, n)
+    return _carry_free(params.p, m, n, -1)
 
 
 def chi(x: FieldElement) -> complex:
     """The fixed additive character: reads only the digit at power -1."""
-    a = field_tables(x.params).proj0[x.digit_at(-1)]
-    return complex(root_table(x.params.p)[a])
+    p = x.params.p
+    return complex(root_table(p)[x.digit_at(-1) % p])
 
 
 def chi_n(n: int, xi: FieldElement) -> complex:

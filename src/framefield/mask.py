@@ -43,7 +43,8 @@ DEFAULT_CASCADE_TOL = 1e-8
 # coefficients the symbol-domain algebra leaves below this are rounding
 TRIM_CUTOFF = 1e-14
 # complex values per block of a Gram sweep's temporaries (the conjugated
-# columns and the Grams): a few hundred kB whatever the grid
+# columns and the Grams), and entries per block of the character factor's
+# exponents: a few hundred kB whatever the grid
 GRAM_BLOCK = 2 ** 14
 
 
@@ -347,12 +348,19 @@ def eval_symbol(m: Mask, xi: FieldElement) -> complex:
 def _character_factor(params: FieldParams) -> np.ndarray:
     """F[a, x] = conj chi(t * u(a) * u(x)), the one-digit factor of every
     character value: conj chi_j(xi) = prod_d F[j_d, xi_d] over the base-q
-    digits of j and the power-d digits of xi."""
-    tab = field_tables(params)
-    codes = np.arange(params.q, dtype=np.int64)[:, None]
-    # the character exponent of the product of digit codes a and b
-    exps = kernels.exponent_table(codes, codes, tab.proj0[tab.mul], params.p)
-    out = kernels.conj_char_matrix(exps, params.p)
+    digits of j and the power-d digits of xi.  chi reads a^T M x mod p
+    (``field_tables``), so F is the c-fold Kronecker power of the p-by-p
+    table conj omega**(i*j), columns permuted by x -> Mx; it is built
+    GRAM_BLOCK exponents at a time."""
+    p, q = params.p, params.q
+    coords = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(params.c) % p
+    paired = coords @ field_tables(params) % p
+    products = np.outer(np.arange(p), np.arange(p)) % p
+    out = np.empty((q, q), dtype=np.complex128)
+    rows = max(1, GRAM_BLOCK // q)
+    for start in range(0, q, rows):
+        exps = kernels.exponent_table(coords[start:start + rows], paired, products, p)
+        out[start:start + rows] = kernels.conj_char_matrix(exps, p)
     out.flags.writeable = False
     return out
 
@@ -515,12 +523,12 @@ def modulation_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
 
 def polyphase_split(m: Mask) -> list:
     """The q sub-masks on the residue classes n = r (mod q), reindexed by
-    (n - r)/q; returned as stride-q masks holding the raw coefficients.
+    (n - r)/q; returned as stride-q masks holding the raw coefficients of
+    the mask's stride-1 block row.
     """
-    if m.stride != 1:
-        raise ParameterError("polyphase decomposition expects a stride-1 mask")
     q = m.params.q
-    return [Mask(m.params, m.coeffs[r::q], stride=q) for r in range(q)]
+    row = coefficient_block(m.params, [m])[0][0]
+    return [Mask(m.params, row[r::q], stride=q) for r in range(q)]
 
 
 def polyphase_symbols(bank: FilterBank) -> np.ndarray:
@@ -529,8 +537,6 @@ def polyphase_symbols(bank: FilterBank) -> np.ndarray:
     the values at the coset representative t*x, and any point x of a
     deeper grid reads column x mod q**e.  e is one less than the bank's
     covering depth."""
-    if any(s != 1 for s in bank.strides):
-        raise ParameterError("polyphase decomposition expects stride-1 masks")
     q = bank.params.q
     rows = _fold(bank.coeffs, q).transpose(0, 2, 1).reshape(len(bank.coeffs) * q, -1)
     values = _grid_transform(bank.params, rows, covering_depth(bank.max_index, q) - 1)

@@ -1,7 +1,7 @@
 """Test-only constructions: seeded random banks, delta and scaled masks, the
 reference shifted-column gather of the quotient sweep, the allocating
-character transform, the per-mask adjoint, and the GF(q) and local-field
-elements that no program path needs."""
+character transform, the per-mask adjoint, the add and mul tables of digit
+codes, and the GF(q) and local-field elements that no program path needs."""
 
 import functools
 
@@ -9,8 +9,8 @@ import numpy as np
 
 from framefield.construct import _seeded_unitary
 from framefield.errors import ParameterError
-from framefield.galois import FieldParams, GFElem, field_tables, gf_from_digit, gf_mul, gf_one
-from framefield.localfield import FieldElement, index_sub
+from framefield.galois import FieldParams, GFElem, gf_from_digit, gf_mul, gf_one
+from framefield.localfield import FieldElement, index_add, index_sub, lf_mul
 from framefield.mask import FilterBank, Mask
 
 
@@ -51,11 +51,21 @@ def mask_scale(m: Mask, scalar: complex) -> Mask:
     return Mask(m.params, m.coeffs * scalar, m.stride)
 
 
+def code_tables(params: FieldParams):
+    """add[a, b] and mul[a, b] on the digit codes of GF(q), through the
+    carry-free sum and the exp/log product of the reference route."""
+    q = params.q
+    digits = [FieldElement(params, 0, (a,)) for a in range(q)]
+    add = np.array([[index_add(params, a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[lf_mul(x, y).digit_at(0) for y in digits] for x in digits])
+    return add, mul
+
+
 @functools.lru_cache(maxsize=None)
 def _shift_map_cached(params: FieldParams, depth: int) -> np.ndarray:
     """SHIFT[g, k] = grid index of xi_g + t*u(k): digit 0 moves by k in GF(q)."""
     q = params.q
-    add = field_tables(params).add
+    add = np.array([[index_add(params, a, k) for k in range(q)] for a in range(q)])
     g = np.arange(q ** depth, dtype=np.int64)
     base = g - (g % q)
     return base[:, None] + add[g % q, :]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import framefield
+from framefield import galois
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
 from framefield.construct import derive_pair, seeded_paraunitary
 from framefield.mask import FilterBank, mask_values_on_grid, zero_mask
@@ -67,6 +68,41 @@ def test_gen_rejects_field_beyond_address_space(tmp_path):
     done = _run_limited(["gen", "haar", "--p", 1000003, "--out", tmp_path / "y.json"])
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def _clear_field_caches():
+    """Empty every cache in the package, so each command builds its field
+    state anew."""
+    for name, module in list(sys.modules.items()):
+        if name == "framefield" or name.startswith("framefield."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize("p, c", [(3, 2), (2, 4)], ids=["GF9", "GF16"])
+def test_commands_search_no_discrete_log(tmp_path, monkeypatch, p, c):
+    # the discrete logarithm serves only the per-point reference route
+    def refuse(params):
+        raise RuntimeError("discrete-log search on the CLI path")
+
+    monkeypatch.setattr(galois, "_primitive_powers", refuse)
+    _clear_field_caches()
+    bank, pair = tmp_path / "bank.json", tmp_path / "pair.json"
+    signal = ["--signal-size", 3, "--levels", 2, "--trials", 4]
+    commands = [
+        ["gen", "haar", "--p", p, "--c", c, "--out", bank],
+        ["verify", bank, "--checks", "uep,subqmf,polyphase", "--out", tmp_path / "report.json"],
+        ["pair", "--primal", bank, "--dual", bank, "--seed", 5, "--out", pair],
+        ["family", "--bank", bank, "--seed", 3, "--size", 2, "--out-dir", tmp_path / "family"],
+        ["experiment", "--kind", "parseval", "--bank", bank, *signal,
+         "--out", tmp_path / "parseval.json"],
+        ["experiment", "--kind", "mixed", "--pair", pair, *signal,
+         "--out", tmp_path / "mixed.json"],
+        ["experiment", "--kind", "cascade", "--bank", bank, "--levels", 6, "--hat-neg", 2,
+         "--hat-pos", 2, "--out", tmp_path / "cascade.json"],
+    ]
+    assert [run(args) for args in commands] == [0] * len(commands)
 
 
 def test_verify_haar_all_checks(tmp_path):

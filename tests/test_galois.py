@@ -1,7 +1,11 @@
 """GF(p^c) digit arithmetic: axioms, bijections, and parameter validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from framefield.errors import ParameterError, RangeError, SizeError
 from framefield.galois import (
@@ -17,8 +21,9 @@ from framefield.galois import (
     gf_proj0,
     gf_to_digit,
 )
+from framefield.localfield import FieldElement, index_add, index_sub, lf_add, lf_mul
 
-from helpers import gf_inv, gf_neg, gf_zero
+from helpers import code_tables, gf_inv, gf_neg, gf_zero
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -115,13 +120,24 @@ def test_prime_field_mul_matches_integers(p):
 
 
 def _scalar_tables(params):
-    """The four tables through the scalar gf_* route, entry by entry."""
+    """The field operations through the scalar gf_* route, entry by entry."""
     elems = all_elems(params)
     add = np.array([[gf_to_digit(gf_add(a, b)) for b in elems] for a in elems])
     mul = np.array([[gf_to_digit(gf_mul(a, b)) for b in elems] for a in elems])
     sub = np.array([[gf_to_digit(gf_add(a, gf_neg(b))) for b in elems] for a in elems])
     proj0 = np.array([gf_proj0(a) for a in elems])
-    return {"add": add, "sub": sub, "mul": mul, "proj0": proj0}
+    exponent = np.array([[gf_proj0(gf_mul(a, b)) for b in elems] for a in elems])
+    return {"add": add, "sub": sub, "mul": mul, "proj0": proj0, "exponent": exponent}
+
+
+def _hankel_exponent(params, a: GFElem, b: GFElem) -> int:
+    """proj0(a*b) read from the field state: a^T M b mod p."""
+    return int(np.array(a.coords) @ field_tables(params) @ np.array(b.coords) % params.p)
+
+
+def _code_product(params, a: int, b: int) -> int:
+    """The exp/log product of two digit codes, through lf_mul."""
+    return lf_mul(FieldElement(params, 0, (a,)), FieldElement(params, 0, (b,))).digit_at(0)
 
 
 # every built-in modulus with q <= 32, and prime fields
@@ -133,21 +149,81 @@ TABLE_FIELDS = [(2, 1), (3, 1), (31, 1)] + sorted(
 def test_tables_match_elementwise_ops():
     for p, c in TABLE_FIELDS:
         params = FieldParams(p, c)
-        tab = field_tables(params)
+        q = params.q
+        elems = all_elems(params)
+        add, mul = code_tables(params)
+        got = {
+            "add": add,
+            "sub": np.array([[index_sub(params, a, b) for b in range(q)] for a in range(q)]),
+            "mul": mul,
+            "proj0": np.arange(q) % p,
+            "exponent": np.array([[_hankel_exponent(params, a, b) for b in elems] for a in elems]),
+        }
         for name, ref in _scalar_tables(params).items():
-            assert np.array_equal(getattr(tab, name), ref), (p, c, name)
+            assert np.array_equal(got[name], ref), (p, c, name)
 
 
 @pytest.mark.parametrize("p, c", [(5, 3), (251, 1)])
 def test_large_tables_match_elementwise_ops_on_random_pairs(p, c, rng):
     params = FieldParams(p, c)
-    tab = field_tables(params)
-    for i, j in rng.integers(0, params.q, size=(200, 2)):
-        a, b = gf_from_digit(params, int(i)), gf_from_digit(params, int(j))
-        assert tab.add[i, j] == gf_to_digit(gf_add(a, b))
-        assert tab.sub[i, j] == gf_to_digit(gf_add(a, gf_neg(b)))
-        assert tab.mul[i, j] == gf_to_digit(gf_mul(a, b))
-        assert tab.proj0[i] == gf_proj0(a)
+    for i, j in rng.integers(0, params.q, size=(200, 2)).tolist():
+        a, b = gf_from_digit(params, i), gf_from_digit(params, j)
+        assert index_add(params, i, j) == gf_to_digit(gf_add(a, b))
+        assert index_sub(params, i, j) == gf_to_digit(gf_add(a, gf_neg(b)))
+        assert _code_product(params, i, j) == gf_to_digit(gf_mul(a, b))
+        assert _hankel_exponent(params, a, b) == gf_proj0(gf_mul(a, b))
+        assert i % p == gf_proj0(a)
+
+
+@st.composite
+def user_fields(draw):
+    """GF(p^c), p <= 7 and c <= 4, with a random monic modulus drawn by
+    rejection through the irreducibility test."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.integers(1, 4))
+    low = st.tuples(*[st.integers(0, p - 1)] * c)
+    modulus = draw(low.map(lambda a: a + (1,)).filter(lambda m: _is_irreducible(m, p, c)))
+    return FieldParams(p, c, modulus)
+
+
+@given(params=user_fields(), data=st.data())
+def test_field_state_matches_scalar_route_on_user_moduli(params, data):
+    codes = st.integers(0, params.q - 1)
+    for _ in range(8):
+        i, j = data.draw(codes), data.draw(codes)
+        a, b = gf_from_digit(params, i), gf_from_digit(params, j)
+        assert _hankel_exponent(params, a, b) == gf_proj0(gf_mul(a, b))
+        assert _code_product(params, i, j) == gf_to_digit(gf_mul(a, b))
+        assert index_add(params, i, j) == gf_to_digit(gf_add(a, b))
+        assert index_sub(params, i, j) == gf_to_digit(gf_add(a, gf_neg(b)))
+        digit_sum = lf_add(FieldElement(params, 0, (i,)), FieldElement(params, 0, (j,)))
+        assert digit_sum.digit_at(0) == gf_to_digit(gf_add(a, b))
+
+
+@given(params=user_fields(), data=st.data())
+def test_carry_free_index_law_is_digitwise_field_addition(params, data):
+    q = params.q
+    m, n = data.draw(st.integers(0, q ** 8 - 1)), data.draw(st.integers(0, q ** 8 - 1))
+    s = index_add(params, m, n)
+    for d in range(8):
+        a, b = gf_from_digit(params, m // q ** d % q), gf_from_digit(params, n // q ** d % q)
+        assert s // q ** d % q == gf_to_digit(gf_add(a, b))
+    assert s < q ** 8
+    assert index_sub(params, s, n) == m
+
+
+def test_field_state_is_c_by_c():
+    # GF(2048) once kept three 2048 x 2048 int64 tables (96 MB)
+    params = FieldParams(2, 11, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hankel = field_tables.__wrapped__(params)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert hankel.shape == (11, 11)
+    assert kept < 64 * 1024
 
 
 def _monic(code, deg, p):

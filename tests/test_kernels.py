@@ -1,6 +1,7 @@
 """The character transform against the definitional evaluation route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from framefield import kernels
 from framefield.construct import seeded_paraunitary
-from framefield.galois import FieldParams
+from framefield.galois import FieldParams, field_tables
 from framefield.localfield import FieldElement, grid_point
 from framefield.mask import (
     FilterBank,
@@ -46,6 +47,34 @@ def test_character_transform_is_kronecker_power(rng, q, e):
         dense = np.kron(factor, dense)
     out = kernels.character_transform(coeffs.copy(), factor)
     assert np.allclose(out, coeffs @ dense, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("field", [(2, 3), (3, 2), (5, 2), (2, 4, (1, 1, 1, 1, 1))])
+def test_character_factor_is_permuted_kronecker_power(field):
+    # F[a, x] = conj omega**(a^T M x): the c-fold Kronecker power of the
+    # p-by-p table conj omega**(i*j), column x moved to the code of M x
+    params = FieldParams(*field)
+    p, c, q = params.p, params.c, params.q
+    small = np.conj(kernels.root_table(p)[np.outer(np.arange(p), np.arange(p)) % p])
+    dense = np.ones((1, 1))
+    for _ in range(c):
+        dense = np.kron(small, dense)
+    coords = np.arange(q)[:, None] // p ** np.arange(c) % p
+    moved = (coords @ field_tables(params) % p) @ p ** np.arange(c)
+    assert np.allclose(_character_factor(params), dense[:, moved], atol=1e-12, rtol=0)
+
+
+def test_character_factor_peaks_at_one_and_a_half_times_its_size():
+    params = FieldParams(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+    field_tables(params)
+    tracemalloc.start()
+    try:
+        factor = _character_factor.__wrapped__(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.nbytes == 16 * 2 ** 20
+    assert peak <= 24 * 2 ** 20, peak
 
 
 # field of each q the in-place property runs on

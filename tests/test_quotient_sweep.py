@@ -7,6 +7,7 @@ depth instead; both must give the same verdict, the same maximum deviation
 to rounding, and a worst point where the reference attains that maximum.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -16,8 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefield.construct import Paraunitary
-from framefield.errors import ConstructionError, ParameterError
+from framefield.errors import ConstructionError
 from framefield import mask
+from framefield.cli import main
 from framefield.galois import FieldParams
 from framefield.localfield import grid_point
 from framefield.mask import (
@@ -168,10 +170,28 @@ def test_polyphase_symbols_match_components(bank):
             assert np.abs(table[l, r] - want).max() <= 1e-12
 
 
-def test_polyphase_symbols_reject_strided_masks(p2, haar2):
-    bank = FilterBank(p2, haar2.m0, (Mask(p2, [1.0, 1.0], stride=2),))
-    with pytest.raises(ParameterError, match="stride-1"):
-        polyphase_symbols(bank)
+@pytest.mark.parametrize("wavelet", [[], [1.0, 1.0]], ids=["zero", "nonzero"])
+def test_polyphase_symbols_of_strided_bank_are_those_of_its_block_rows(p2, haar2, wavelet, tmp_path):
+    # a bank's block rows are stride-1 rows, whatever its masks' strides
+    bank = FilterBank(p2, haar2.m0, (*haar2.wavelets, Mask(p2, wavelet, stride=2)))
+    rows = FilterBank(p2, Mask(p2, bank.coeffs[0]), tuple(Mask(p2, row) for row in bank.coeffs[1:]))
+    assert bank.strides == (1, 1, 2) and rows.strides == (1, 1, 1)
+    got, want = polyphase_symbols(bank), polyphase_symbols(rows)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the reference route splits each mask's block row the same way
+    e = covering_depth(bank.max_index, 2) - 1
+    points = [grid_point(p2, e + 1, 2 * x) for x in range(2 ** e)]
+    for l, m in enumerate(bank.masks):
+        for r, comp in enumerate(polyphase_split(m)):
+            assert np.abs(got[l, r] - [eval_symbol(comp, xi) for xi in points]).max() <= 1e-12
+    if not wavelet:
+        # the Haar bank plus a zero wavelet is still a tight frame
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(bank.to_json()))
+        report = tmp_path / "report.json"
+        assert main(["verify", str(path), "--checks", "uep,polyphase", "--out", str(report)]) == 0
+        experiment = ["experiment", "--kind", "parseval", "--bank", str(path)]
+        assert main([*experiment, "--out", str(tmp_path / "parseval.json")]) == 0
 
 
 @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 30), st.integers(1, 6)),
