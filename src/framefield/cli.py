@@ -276,7 +276,7 @@ def _load_paraunitary(args, params, size: int):
 
 
 def cmd_pair(args) -> int:
-    from .construct import certify_pair, derive_pair
+    from .construct import certify_family, derive_pair
 
     primal_path, dual_path = Path(args.primal), Path(args.dual)
     inputs = {}
@@ -291,7 +291,7 @@ def cmd_pair(args) -> int:
     except ConstructionError as exc:
         return _rejected(exc, Path(args.out))
     depth = args.depth if args.depth else None
-    reports = certify_pair(pair, depth, tol)
+    reports = certify_family([pair.primal, pair.dual], depth, tol)
     inputs.update(extra_inputs)
     provenance = {
         "algorithm": "derive_pair",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
-from .galois import FieldParams
+from .errors import ConstructionError, ParameterError, SizeError
+from .galois import FieldParams, addressable
 from .localfield import index_sub
 from .mask import (
     CheckReport,
@@ -114,8 +114,7 @@ class Paraunitary:
         representative decides its q points."""
         depth = self.depth()
         dev = gram_deviation(self.symbols(depth).transpose(1, 0, 2))
-        q = self.params.q
-        return sweep_report("paraunitary", depth, depth, np.repeat(dev, q), tol, self.params)
+        return sweep_report("paraunitary", depth, depth, dev, tol, self.params)
 
     def symbols(self, depth: int) -> np.ndarray:
         """Entry symbols at the depth-s coset representatives, (R, size, size):
@@ -180,6 +179,8 @@ def _seeded_unitary(size: int, *key: int) -> np.ndarray:
     redrawn while a pivot is near zero."""
     if size < 1:
         raise ParameterError("size must be at least 1")
+    if not addressable(size, 2, 16):
+        raise SizeError(f"a {size}x{size} unitary exceeds the address space")
     for attempt in range(GRAM_SCHMIDT_RETRIES):
         rng = np.random.default_rng([*key, attempt])
         z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -349,16 +350,6 @@ def derive_pair(
     )
 
 
-def certify_pair(pair: FramePair, depth: int | None = None, tol: float = DEFAULT_MATRIX_TOL):
-    """Tight-frame checks on both members plus the mixed-orthogonality check."""
-    depth = depth or bank_depth(pair.primal, pair.dual)
-    return [
-        check_uep(pair.primal, depth, tol),
-        check_uep(pair.dual, depth, tol),
-        check_mixed_orthogonality(pair.primal, pair.dual, depth, tol),
-    ]
-
-
 def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
     """One output bank per matrix column r: wavelets a[l][r] * m_n over all
     input wavelets n and rows l, scaling mask unchanged.  The outputs are
@@ -380,7 +371,8 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
 
 
 def certify_family(families, depth: int | None = None, tol: float = DEFAULT_MATRIX_TOL):
-    """UEP report per family plus one mixed report per unordered pair."""
+    """UEP report per family plus one mixed report per unordered pair; a
+    frame pair is the family [primal, dual]."""
     depth = depth or bank_depth(*families)
     reports = [check_uep(bank, depth, tol) for bank in families]
     for i in range(len(families)):

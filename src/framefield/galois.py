@@ -53,16 +53,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _tables_fit(p: int, c: int) -> bool:
-    """Whether the q-by-q complex character table, q = p**c, has at most
-    sys.maxsize bytes.  q grows one factor at a time, so a huge c stops early."""
-    limit = sys.maxsize // 16
-    q = 1
-    for _ in range(c):
-        q *= p
-        if q * q > limit:
-            return False
-    return True
+def addressable(base: int, power: int, itemsize: int) -> bool:
+    """Whether base**power items of ``itemsize`` bytes, base >= 2, take at
+    most sys.maxsize bytes: the address space.  2**64 is past it, so no
+    larger power is formed."""
+    return power < 64 and base ** power * itemsize <= sys.maxsize
 
 
 def _poly_trim(a):
@@ -118,7 +113,7 @@ class FieldParams:
             raise ParameterError(f"c must be a positive integer, got {self.c!r}")
         # before the primality and irreducibility searches, which take
         # time that grows with q
-        if not _tables_fit(self.p, self.c):
+        if not addressable(self.p, 2 * self.c, 16):  # q*q complex entries
             field = f"GF({self.p})" if self.c == 1 else f"GF({self.p}^{self.c})"
             raise SizeError(
                 f"{field} needs a q-by-q complex character table larger than the address space"

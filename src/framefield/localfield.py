@@ -193,9 +193,11 @@ def chi_n(n: int, xi: FieldElement) -> complex:
 
 
 def check_grid_points(q: int, depth: int):
-    """SizeError when the depth-s grid has more than MAX_GRID_POINTS points."""
-    if q ** depth > MAX_GRID_POINTS:
-        raise SizeError(f"grid of {q ** depth} points exceeds the {MAX_GRID_POINTS} cap")
+    """SizeError when the depth-s grid has more than MAX_GRID_POINTS points.
+    q**23 is past the cap for every q >= 2, so no larger power is formed."""
+    points = q ** depth if depth < 23 else f"{q}^{depth}"
+    if depth >= 23 or points > MAX_GRID_POINTS:
+        raise SizeError(f"grid of {points} points exceeds the {MAX_GRID_POINTS} cap")
 
 
 def grid_digits(params: FieldParams, depth: int) -> np.ndarray:
@@ -211,9 +213,14 @@ def grid_digits(params: FieldParams, depth: int) -> np.ndarray:
 
 
 def grid_point(params: FieldParams, depth: int, g: int) -> FieldElement:
-    """FieldElement of grid index g at the given depth."""
-    q = params.q
-    return FieldElement(params, 0, tuple((g // q ** j) % q for j in range(depth)))
+    """FieldElement of index g < q**depth on the depth-s grid: base-q digit
+    j of g at power j.  The digits above g's own are zeros, which a
+    FieldElement drops, so the depth is never expanded."""
+    digits = []
+    while g:
+        g, d = divmod(g, params.q)
+        digits.append(d)
+    return FieldElement(params, 0, tuple(digits))
 
 
 def grid(params: FieldParams, depth: int) -> list:

@@ -303,8 +303,8 @@ class CheckReport:
         )
 
 
-def make_report(condition, depth, deviations, tol, params, details=None) -> CheckReport:
-    """Fold a per-grid-point deviation array into a report (first argmax wins)."""
+def make_report(condition, depth, deviations, tol, params, details=None, spacing=1) -> CheckReport:
+    """Fold deviation i of grid point i * spacing into a report (first argmax wins)."""
     worst = int(np.argmax(deviations))
     max_dev = float(deviations[worst])
     return CheckReport(
@@ -313,7 +313,7 @@ def make_report(condition, depth, deviations, tol, params, details=None) -> Chec
         max_deviation=max_dev,
         tolerance=tol,
         passed=bool(max_dev <= tol),
-        worst_point=grid_point(params, depth, worst),
+        worst_point=grid_point(params, depth, worst * spacing),
         details=details or {},
     )
 
@@ -569,24 +569,21 @@ def bank_depth(*banks: FilterBank) -> int:
     return covering_depth(max(b.max_index for b in banks), banks[0].params.q)
 
 
-def _require_depth(depth: int, max_index: int, q: int):
-    if depth < 1:
-        raise DepthError(f"grid depth must be at least 1, got {depth}")
-    if q ** depth < max_index + 1:
-        raise DepthError(
-            f"grid depth {depth} covers indices below {q ** depth}, "
-            f"but the masks reach index {max_index}"
-        )
-
-
 def swept_depth(depth: int, max_index: int, q: int) -> int:
-    """Depth a sweep runs at: the requested one, capped at covering depth.
+    """Depth a sweep runs at: covering depth, which the requested one must reach.
 
     Masks whose support fits below q^s are constant on cosets of B^s, so a
     deeper grid only repeats the covering-depth values.
     """
-    _require_depth(depth, max_index, q)
-    return min(depth, covering_depth(max_index, q))
+    covering = covering_depth(max_index, q)
+    if depth < 1:
+        raise DepthError(f"grid depth must be at least 1, got {depth}")
+    if depth < covering:
+        raise DepthError(
+            f"grid depth {depth} covers indices below {q ** depth}, "
+            f"but the masks reach index {max_index}"
+        )
+    return covering
 
 
 def coset_values(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndarray:
@@ -596,42 +593,35 @@ def coset_values(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndar
     return _grid_transform(params, coeffs, depth).reshape(len(coeffs), -1, params.q)
 
 
-def _rep_blocks(reps: int, per_rep: int):
-    """Slices of ``reps`` coset representatives whose temporaries, at
-    ``per_rep`` complex values per representative, stay near GRAM_BLOCK
-    values (one representative at least)."""
-    step = max(1, GRAM_BLOCK // max(per_rep, 1))
-    return [slice(start, start + step) for start in range(0, reps, step)]
-
-
-def _cross_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A_r* B_r for the matrices A_r = a[:, r, :] and B_r = b[:, r, :]."""
-    return np.einsum("lrk,lrj->rkj", np.conj(a), b)
+def blocked_gram(a: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:
+    """reduce(A_r* B_r) for the matrices A_r = a[:, r, :] and B_r = b[:, r, :]
+    of (n, R, k) stacks, so that mask-by-coset arrays need no transpose,
+    taken over blocks of representatives whose temporaries stay near
+    GRAM_BLOCK complex values (one representative at least)."""
+    n, reps, k = a.shape
+    step = max(1, GRAM_BLOCK // (k * max(n, k)))
+    blocks = (slice(start, start + step) for start in range(0, reps, step))
+    grams = (np.einsum("lrk,lrj->rkj", np.conj(a[:, r]), b[:, r]) for r in blocks)
+    return np.concatenate([reduce(gram) for gram in grams])
 
 
 def gram_deviation(cols: np.ndarray) -> np.ndarray:
-    """max |A_r* A_r - I| for each matrix A_r = cols[:, r, :] of an (n, R, k)
-    stack, so that mask-by-coset arrays need no transpose.  The Grams are
-    taken a block of representatives at a time."""
-    n, reps, k = cols.shape
-    dev = np.empty(reps)
-    eye = np.eye(k)
-    for block in _rep_blocks(reps, k * max(n, k)):
-        gram = _cross_gram(cols[:, block], cols[:, block])
-        gram -= eye
-        dev[block] = np.abs(gram).max(axis=(1, 2))
-    return dev
+    """max |A_r* A_r - I| for each matrix A_r = cols[:, r, :] of an (n, R, k) stack."""
+    eye = np.eye(cols.shape[2])
+    return blocked_gram(cols, cols, lambda gram: np.abs(gram - eye).max(axis=(1, 2)))
 
 
 def sweep_report(condition, depth, swept, deviations, tol, params) -> CheckReport:
     """Report of a sweep at depth ``swept`` <= ``depth``, from one deviation
-    per depth-``swept`` grid point.
+    per depth-``swept`` grid point, or one per coset representative for the
+    q points of its coset, the representative first.
 
     The requested grid repeats those values with period q^swept, so its
     first argmax is the first argmax here.
     """
     details = {"swept_depth": swept, "cosets_swept": params.q ** (swept - 1)}
-    return make_report(condition, depth, deviations, tol, params, details)
+    spacing = params.q ** swept // len(deviations)
+    return make_report(condition, depth, deviations, tol, params, details, spacing)
 
 
 def check_uep(bank: FilterBank, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:
@@ -643,7 +633,7 @@ def check_uep(bank: FilterBank, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> 
     params = bank.params
     swept = swept_depth(depth, bank.max_index, params.q)
     dev = gram_deviation(coset_values(params, bank.coeffs, swept))
-    return sweep_report("uep", depth, swept, np.repeat(dev, params.q), tol, params)
+    return sweep_report("uep", depth, swept, dev, tol, params)
 
 
 def require_tight(bank: FilterBank, label: str) -> None:
@@ -660,7 +650,7 @@ def check_subqmf(m0: Mask, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> Check
     swept = swept_depth(depth, m0.max_index, params.q)
     sums = (np.abs(mask_values_on_grid([m0], swept).reshape(-1, params.q)) ** 2).sum(axis=1)
     dev = np.maximum(0.0, sums - 1.0)
-    return sweep_report("subqmf", depth, swept, np.repeat(dev, params.q), tol, params)
+    return sweep_report("subqmf", depth, swept, dev, tol, params)
 
 
 def check_polyphase_unitary(
@@ -668,15 +658,14 @@ def check_polyphase_unitary(
 ) -> CheckReport:
     """Row orthonormality of the polyphase matrix at every grid point."""
     params = bank.params
-    q = params.q
     # the components' covering depth is swept - 1: one column per coset
-    swept = swept_depth(depth, bank.max_index, q)
+    swept = swept_depth(depth, bank.max_index, params.q)
     gamma = polyphase_symbols(bank)  # (L+1, q, R)
     # rows of Gamma orthonormal <=> columns of Gamma* orthonormal; the Grams
     # of Gamma's transposed rows are their conjugates, which deviate from I
     # by the same magnitudes, so no conjugated copy of Gamma is made
     dev = gram_deviation(gamma.transpose(0, 2, 1))
-    return sweep_report("polyphase_unitary", depth, swept, np.repeat(dev, q), tol, params)
+    return sweep_report("polyphase_unitary", depth, swept, dev, tol, params)
 
 
 def check_mixed_orthogonality(
@@ -696,10 +685,12 @@ def check_mixed_orthogonality(
     params = bankA.params
     swept = swept_depth(depth, max(bankA.max_index, bankB.max_index), params.q)
     va, vb = (coset_values(params, bank.coeffs[1:], swept) for bank in (bankA, bankB))
-    n, reps, q = va.shape
-    dev = np.empty((reps, q))
-    for block in _rep_blocks(reps, q * max(n, q)):
-        cross = np.abs(_cross_gram(va[:, block], vb[:, block]))
-        diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
-        dev[block] = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None])
+    dev = blocked_gram(va, vb, _cross_deviation)
     return sweep_report("mixed_orthogonality", depth, swept, dev.ravel(), tol, params)
+
+
+def _cross_deviation(cross: np.ndarray) -> np.ndarray:
+    """(R, q) deviations of the points r + a from the cross Grams C(r)."""
+    cross = np.abs(cross)
+    diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
+    return np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None])

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DepthError, ParameterError
-from .galois import FieldParams
+from .errors import CoverageError, DepthError, ParameterError, SizeError
+from .galois import FieldParams, addressable
 from .localfield import FieldElement, check_grid_points
 from .mask import (
     DEFAULT_CASCADE_TOL,
@@ -263,6 +263,8 @@ def synthesis_step(branches: np.ndarray, bank: FilterBank) -> np.ndarray:
 
 
 def random_signal(params: FieldParams, size_exponent: int, rng: np.random.Generator) -> np.ndarray:
+    if not addressable(params.q, size_exponent, 16):
+        raise SizeError(f"a signal of {params.q}^{size_exponent} samples exceeds the address space")
     n = params.q ** size_exponent
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 

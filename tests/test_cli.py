@@ -20,7 +20,7 @@ import pytest
 import framefield
 from framefield import galois
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
-from framefield.construct import derive_pair, seeded_paraunitary
+from framefield.construct import derive_pair, haar_bank, orthogonal_family, seeded_paraunitary
 from framefield.mask import FilterBank, mask_values_on_grid, zero_mask
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
 
@@ -225,7 +225,7 @@ def _child_env(**extra):
     return env
 
 
-def _run_limited(args):
+def _run_limited(args, timeout=120):
     """The CLI in a child process whose address space is capped."""
 
     def limit():
@@ -233,7 +233,7 @@ def _run_limited(args):
 
     return subprocess.run(
         [sys.executable, "-m", "framefield.cli", *map(str, args)],
-        env=_child_env(), preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        env=_child_env(), preexec_fn=limit, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -273,6 +273,69 @@ def test_banks_and_matrices_wider_than_any_grid_exit_3(tmp_path, p2, haar2, powe
         assert done.returncode == 3, done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
+
+def _without_depth(payload, depth):
+    """``payload`` without its metadata and the places its depth appears."""
+    payload = {key: value for key, value in payload.items() if key != "metadata"}
+    assert payload["provenance"]["config"].pop("depth") == depth
+    for report in payload["reports"]:
+        assert report.pop("grid_depth") == depth
+    return payload
+
+
+@pytest.mark.parametrize("command", ["verify", "pair"])
+def test_depth_far_above_covering_depth_reports_as_covering_depth(tmp_path, haar3, command):
+    # the requested depth is only compared with the covering depth and the
+    # worst point takes only its grid index's digits, so 10**9 and 10**5
+    # (which ran past 20 s) report as depth 7 does, apart from the depth
+    banks = {"haar16": haar_bank(galois.FieldParams(2, 4)),
+             "family3": orthogonal_family(haar3, seeded_paraunitary(haar3.params, 2, 3))[0]}
+    for name, bank in banks.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bank.to_json()))
+        args = (["verify", path] if command == "verify"
+                else ["pair", "--primal", path, "--dual", path, "--seed", 3])
+        payloads = []
+        for depth in (7, 10 ** 9 if command == "verify" else 10 ** 5):
+            out = tmp_path / f"{name}-{depth}.json"
+            done = _run_limited([*args, "--depth", depth, "--out", out], timeout=20)
+            assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+            payloads.append(_without_depth(load(out), depth))
+        assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("kind, flag", [("cascade", "--hat-pos"), ("partition", "--hat-neg")])
+def test_hat_window_past_the_grid_cap_exits_3_at_once(tmp_path, haar3, kind, flag):
+    # a window of 10**8 powers is past the cap; its 3**(10**8) points are never counted
+    bank = tmp_path / "haar3.json"
+    bank.write_text(json.dumps(haar3.to_json()))
+    done = _run_limited(["experiment", "--kind", kind, "--bank", bank, flag, 10 ** 8,
+                         "--out", tmp_path / "e.json"], timeout=20)
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: grid of 3^"), done.stderr
+
+
+@pytest.mark.parametrize("command", ["parseval", "family"])
+def test_arrays_past_the_address_space_exit_3(tmp_path, haar3, command):
+    # past the address space numpy raises ValueError, not MemoryError: such
+    # sizes are refused first, while sizes that fit still meet the memory cap
+    bank = tmp_path / "haar3.json"
+    bank.write_text(json.dumps(haar3.to_json()))
+    if command == "parseval":
+        args = ["experiment", "--kind", "parseval", "--bank", bank, "--levels", 1, "--trials", 1,
+                "--out", tmp_path / "e.json", "--signal-size"]
+        sizes = (100, 30)
+    else:
+        args = ["family", "--bank", bank, "--out-dir", tmp_path / "f", "--size"]
+        sizes = (10 ** 10, 10 ** 6)
+    for size, message in zip(sizes, ("exceeds the address space", "out of memory")):
+        done = _run_limited([*args, size], timeout=20)
+        assert done.returncode == 3, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        assert message in lines[0]
 
 
 def test_unknown_backend_variable_is_ignored(tmp_path):

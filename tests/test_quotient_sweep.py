@@ -34,9 +34,11 @@ from framefield.mask import (
     covering_depth,
     eval_symbol,
     gram_deviation,
+    make_report,
     mask_values_on_grid,
     polyphase_split,
     polyphase_symbols,
+    sweep_report,
 )
 
 from helpers import random_bank, shift_map
@@ -228,3 +230,25 @@ def test_blocked_mixed_check_matches_one_einsum(bank, block, data):
     worst = int(np.argmax(want))
     assert np.float64(report.max_deviation).view(np.int64) == want[worst].view(np.int64)
     assert grid_index(report.worst_point, depth) == worst
+
+
+@given(field=st.sampled_from(FIELDS), swept=st.integers(1, 3), extra=st.integers(0, 2),
+       data=st.data())
+def test_sweep_report_folds_one_deviation_per_coset(field, swept, extra, data):
+    # a representative's deviation holds on the q points of its coset: the
+    # report is that of the deviations repeated q times, ties and NaN alike
+    params = FieldParams(*field)
+    q, depth = params.q, swept + extra
+    reps = q ** (swept - 1)
+    levels = st.sampled_from([0.0, 1e-13, 0.25, 0.25, 1.0])  # few levels: many ties
+    dev = np.array(data.draw(st.lists(levels, min_size=reps, max_size=reps)))
+    if data.draw(st.booleans()):
+        dev[data.draw(st.integers(0, len(dev) - 1))] = np.nan
+    details = {"swept_depth": swept, "cosets_swept": reps}
+    want = make_report("uep", depth, np.repeat(dev, q), 1e-10, params, details)
+    for deviations in (dev, np.repeat(dev, q)):
+        got = sweep_report("uep", depth, swept, deviations, 1e-10, params)
+        bits = np.float64([got.max_deviation, want.max_deviation]).view(np.int64)
+        assert bits[0] == bits[1]
+        assert got.worst_point == want.worst_point
+        assert (got.passed, got.grid_depth, got.details) == (want.passed, depth, details)
