@@ -223,15 +223,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# verify's checks by name, each a call on (bank, dual, depth, tol)
+CHECKS = {
+    "uep": lambda bank, dual, depth, tol: check_uep(bank, depth, tol),
+    "subqmf": lambda bank, dual, depth, tol: check_subqmf(bank.m0, depth, tol),
+    "polyphase": lambda bank, dual, depth, tol: check_polyphase_unitary(bank, depth, tol),
+    "mixed": lambda bank, dual, depth, tol: check_mixed_orthogonality(bank, dual, depth, tol),
+}
+
+
 def cmd_verify(args) -> int:
     path = Path(args.bank)
     inputs = {}
     bank = FilterBank.from_json(_load_json(path, inputs))
     wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
-    known = {"uep", "subqmf", "polyphase", "mixed"}
     if not wanted:
         raise ParameterError("no checks requested")
-    unknown = set(wanted) - known
+    unknown = set(wanted) - set(CHECKS)
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     tol = _positive(args.tol, "tolerance")
@@ -240,18 +248,8 @@ def cmd_verify(args) -> int:
     if "mixed" in wanted:
         if not args.dual:
             raise ParameterError("the mixed check needs --dual BANK")
-        dual_path = Path(args.dual)
-        dual = FilterBank.from_json(_load_json(dual_path, inputs))
-    reports = []
-    for name in wanted:
-        if name == "uep":
-            reports.append(check_uep(bank, depth, tol))
-        elif name == "subqmf":
-            reports.append(check_subqmf(bank.m0, depth, tol))
-        elif name == "polyphase":
-            reports.append(check_polyphase_unitary(bank, depth, tol))
-        elif name == "mixed":
-            reports.append(check_mixed_orthogonality(bank, dual, depth, tol))
+        dual = FilterBank.from_json(_load_json(Path(args.dual), inputs))
+    reports = [CHECKS[name](bank, dual, depth, tol) for name in wanted]
     payload = {
         "bank": str(path),
         "reports": [r.to_json() for r in reports],
@@ -260,19 +258,18 @@ def cmd_verify(args) -> int:
     return _finish(Path(args.out), payload, reports)
 
 
-def _load_paraunitary(args, params, size: int):
-    """The paraunitary matrix of ``--paraunitary``, else the seeded one, and
-    the input hashes it was read with."""
+def _load_paraunitary(args, params, size: int, inputs: dict):
+    """The paraunitary matrix of ``--paraunitary``, over the field its file
+    names and with its hash recorded in ``inputs`` as :func:`_load_json`
+    records it, else the seeded one over ``params``."""
     from .construct import Paraunitary, seeded_paraunitary
 
-    if args.paraunitary:
-        path = Path(args.paraunitary)
-        inputs = {}
-        pu = Paraunitary.from_json(_load_json(path, inputs), params=params)
-        if pu.size != size:
-            raise ParameterError(f"paraunitary size {pu.size} does not match required {size}")
-        return pu, inputs
-    return seeded_paraunitary(params, size, args.seed), {}
+    if not args.paraunitary:
+        return seeded_paraunitary(params, size, args.seed)
+    pu = Paraunitary.from_json(_load_json(Path(args.paraunitary), inputs))
+    if pu.size != size:
+        raise ParameterError(f"paraunitary size {pu.size} does not match required {size}")
+    return pu
 
 
 def cmd_pair(args) -> int:
@@ -284,15 +281,17 @@ def cmd_pair(args) -> int:
     dual = FilterBank.from_json(_load_json(dual_path, inputs))
     if primal.n_wavelets != dual.n_wavelets:
         raise ParameterError("primal and dual banks must have equal wavelet counts")
+    if not primal.n_wavelets:
+        raise ParameterError(f"{primal_path} and {dual_path} hold no wavelet masks, "
+                             "and a pair needs at least one")
     tol = _positive(args.tol, "tolerance")
-    matrix, extra_inputs = _load_paraunitary(args, primal.params, 2 * primal.n_wavelets)
+    matrix = _load_paraunitary(args, primal.params, 2 * primal.n_wavelets, inputs)
     try:
-        pair = derive_pair(primal.wavelets, dual.wavelets, primal.m0, dual.m0, matrix)
+        pair = derive_pair(primal, dual, matrix)
     except ConstructionError as exc:
         return _rejected(exc, Path(args.out))
     depth = args.depth if args.depth else None
     reports = certify_family([pair.primal, pair.dual], depth, tol)
-    inputs.update(extra_inputs)
     provenance = {
         "algorithm": "derive_pair",
         "seed": args.seed,
@@ -312,14 +311,13 @@ def cmd_family(args) -> int:
     bank = FilterBank.from_json(_load_json(bank_path, inputs))
     tol = _positive(args.tol, "tolerance")
     size = args.size or 2
-    matrix, extra_inputs = _load_paraunitary(args, bank.params, size)
+    matrix = _load_paraunitary(args, bank.params, size, inputs)
     try:
         families = orthogonal_family(bank, matrix)
     except ConstructionError as exc:
         return _rejected(exc, out_dir / "reports.json")
     depth = args.depth if args.depth else None
     reports = certify_family(families, depth, tol)
-    inputs.update(extra_inputs)
     provenance = {
         "algorithm": "orthogonal_family",
         "seed": args.seed,
@@ -483,13 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--kind", required=True, choices=["parseval", "mixed", "cascade", "partition"])
     exp.add_argument("--bank", default="")
     exp.add_argument("--pair", default="")
-    exp.add_argument("--signal-size", type=int, default=6, dest="signal_size")
+    exp.add_argument("--signal-size", type=int, default=6, dest="signal_size", metavar="N",
+                     help="each trial's signal has q**N samples (default: %(default)s)")
     exp.add_argument("--levels", type=int, default=4)
     exp.add_argument("--trials", type=int, default=20)
     exp.add_argument("--seed", type=_seed, default=0)
     exp.add_argument("--tol", type=float, default=DEFAULT_CASCADE_TOL)
-    exp.add_argument("--hat-neg", type=int, default=2, dest="hat_neg")
-    exp.add_argument("--hat-pos", type=int, default=3, dest="hat_pos")
+    exp.add_argument("--hat-neg", type=int, default=2, dest="hat_neg", metavar="J",
+                     help="the hat window is the ball |x| <= q**J (default: %(default)s)")
+    exp.add_argument("--hat-pos", type=int, default=3, dest="hat_pos", metavar="J",
+                     help="the hat is sampled at resolution q**-J (default: %(default)s)")
     exp.add_argument("--out", default="experiment.json")
     exp.set_defaults(func=cmd_experiment)
     return parser

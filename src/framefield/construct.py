@@ -128,13 +128,14 @@ class Paraunitary:
     def from_symbols(cls, params: FieldParams, symbols: np.ndarray) -> "Paraunitary":
         """The matrix whose entry symbols at the coset representatives of
         some depth are the (R, size, size) stack ``symbols``, certified.
-        The stack is copied into entry rows once and not used again, so a
-        stack that no caller holds is freed before the inverse transform
-        runs in the rows."""
+        The stack is copied into entry rows (row i*size + j holds entry
+        (i, j) at every representative) once and not used again, so a stack
+        that no caller holds is freed before the inverse transform runs in
+        the rows."""
         size = symbols.shape[1]
-        rows = _entry_rows(symbols)
+        rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
         del symbols
-        block = _trim_columns(coefficient_rows(params, rows))
+        block = _trim_columns(coefficient_rows(params, rows.reshape(size * size, -1)))
         del rows  # only the trimmed block is kept while it is certified
         return cls._of_block(params, size, block)
 
@@ -146,24 +147,15 @@ class Paraunitary:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, params: FieldParams | None = None) -> "Paraunitary":
+    def from_json(cls, obj: dict) -> "Paraunitary":
         try:
-            if params is None:
-                params = FieldParams.from_json(obj["field"])
+            params = FieldParams.from_json(obj["field"])
             entries = tuple(
                 tuple(Mask.from_json(params, m) for m in row) for row in obj["entries"]
             )
             return cls(params, int(obj["size"]), entries)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad paraunitary object: {exc}") from exc
-
-
-def _entry_rows(symbols: np.ndarray) -> np.ndarray:
-    """An (R, size, size) symbol stack as a new C-contiguous (size**2, R)
-    array: row i*size + j holds entry (i, j) at every representative."""
-    size = symbols.shape[1]
-    rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
-    return rows.reshape(size * size, -1)
 
 
 def _trim_columns(block: np.ndarray) -> np.ndarray:
@@ -245,12 +237,7 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
     samples at the coset representatives, and the product is transformed
     back and certified once.
     """
-    # no name holds the product, so it goes once it is copied into entry
-    # rows, and the rows go once they are trimmed into the block
-    rows = _entry_rows(_seeded_symbols(params, size, seed))
-    block = _trim_columns(coefficient_rows(params, rows))
-    del rows
-    return Paraunitary._of_block(params, size, block)
+    return Paraunitary.from_symbols(params, _seeded_symbols(params, size, seed))
 
 
 def _seeded_symbols(params: FieldParams, size: int, seed: int) -> np.ndarray:
@@ -312,42 +299,32 @@ def _product_symbols(matrix: Paraunitary, wavelets: np.ndarray):
     return matrix.symbols(depth), coset_values(params, wavelets, depth) * math.sqrt(params.q)
 
 
-def _mix_wavelets(matrix: Paraunitary, column_offset: int, wavelets) -> list:
-    """Row k of the output: sum_l entries[k][column_offset+l] * wavelets[l]."""
-    entries, values = _product_symbols(matrix, coefficient_block(matrix.params, wavelets)[0])
-    block = entries[:, :, column_offset : column_offset + len(wavelets)]
+def _mix_wavelets(matrix: Paraunitary, column_offset: int, bank: FilterBank) -> FilterBank:
+    """The bank whose wavelet k is sum_l entries[k][column_offset+l] * wavelet
+    l of ``bank``, scaling mask unchanged.  The wavelet rows keep their own
+    width, so a wider m0 cannot deepen the product grid."""
+    entries, values = _product_symbols(matrix, _trim_columns(bank.coeffs[1:]))
+    block = entries[:, :, column_offset : column_offset + bank.n_wavelets]
     out = np.einsum("Rkl,lRa->kRa", block, values).reshape(matrix.size, -1)
-    return masks_from_symbols(matrix.params, out, [1] * matrix.size)
+    wavelets = masks_from_symbols(bank.params, out, [1] * matrix.size)
+    return FilterBank(bank.params, bank.m0, wavelets)
 
 
-def derive_pair(
-    primal_wavelets,
-    dual_wavelets,
-    m0: Mask,
-    m0_dual: Mask,
-    matrix: Paraunitary,
-) -> FramePair:
+def derive_pair(primal: FilterBank, dual: FilterBank, matrix: Paraunitary) -> FramePair:
     """Mix two certified banks through the split columns of a paraunitary
     matrix of size 2L: the first L columns act on the primal wavelets, the
     last L on the dual wavelets.  Scaling masks pass through unchanged.
     """
-    primal_wavelets = list(primal_wavelets)
-    dual_wavelets = list(dual_wavelets)
-    length = len(primal_wavelets)
-    if len(dual_wavelets) != length:
-        raise ParameterError("primal and dual wavelet lists must have equal length")
+    if not primal.params == dual.params == matrix.params:
+        raise ParameterError("primal bank, dual bank and matrix must share field parameters")
+    length = primal.n_wavelets
+    if dual.n_wavelets != length:
+        raise ParameterError("primal and dual banks must have equal wavelet counts")
     if matrix.size != 2 * length:
         raise ParameterError(f"matrix size {matrix.size} != 2L = {2 * length}")
-    bank_in = FilterBank(m0.params, m0, tuple(primal_wavelets))
-    bank_in_dual = FilterBank(m0_dual.params, m0_dual, tuple(dual_wavelets))
-    require_tight(bank_in, "primal input")
-    require_tight(bank_in_dual, "dual input")
-    primal_out = _mix_wavelets(matrix, 0, primal_wavelets)
-    dual_out = _mix_wavelets(matrix, length, dual_wavelets)
-    return FramePair(
-        primal=FilterBank(m0.params, m0, tuple(primal_out)),
-        dual=FilterBank(m0_dual.params, m0_dual, tuple(dual_out)),
-    )
+    require_tight(primal, "primal input")
+    require_tight(dual, "dual input")
+    return FramePair(_mix_wavelets(matrix, 0, primal), _mix_wavelets(matrix, length, dual))
 
 
 def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:

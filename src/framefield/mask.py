@@ -435,17 +435,10 @@ def mask_values_at_digits(masks, point_digits: np.ndarray) -> np.ndarray:
     return table[:, point_digits[:, :depth] @ (params.q ** np.arange(depth, dtype=np.int64))]
 
 
-def mask_values_on_grid(masks, depth: int, lift: int = 0) -> np.ndarray:
-    """Values of several masks at t**lift * x for every point x of the
-    depth-s grid, in grid order.  Index digits below power ``lift`` meet
-    zero point digits, so a block finer than q**lift * N0 folds onto it."""
+def mask_values_on_grid(masks, depth: int) -> np.ndarray:
+    """Values of several masks at every point of the depth-s grid, in grid order."""
     params = masks[0].params
-    lattice = params.q ** lift
-    base = math.gcd(lattice, *(m.stride for m in masks))
-    block, _ = coefficient_block(params, masks, base)
-    if base < lattice:
-        block = _fold(block, lattice // base).sum(axis=2)
-    return _grid_transform(params, block, depth)
+    return _grid_transform(params, coefficient_block(params, masks)[0], depth)
 
 
 def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
@@ -458,15 +451,14 @@ def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides, lift: int = 0) -> list:
-    """Inverse of sqrt(q) * mask_values_on_grid(masks, e, lift): the masks
-    whose symbol values at t**lift * x, for x on the depth-e grid in grid
-    order, are the rows of ``symbols`` (M, q**e), given up as for
-    :func:`coefficient_rows`.  A row's coefficients lie on the lattice
-    q**lift * N0; a mask of stride s keeps every (s / q**lift)-th of them
-    (the others hold only rounding).
+def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides) -> list:
+    """Inverse of sqrt(q) * mask_values_on_grid(masks, e): the masks whose
+    symbol values on the depth-e grid, in grid order, are the rows of
+    ``symbols`` (M, q**e), given up as for :func:`coefficient_rows`.  A
+    mask of stride s keeps every s-th coefficient of its row (the others
+    hold only rounding).
     """
-    return block_masks(params, coefficient_rows(params, symbols), strides, params.q ** lift)
+    return block_masks(params, coefficient_rows(params, symbols), strides)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +474,15 @@ def mask_mul(a: Mask, b: Mask) -> Mask:
     """
     if a.params != b.params:
         raise ParameterError("masks belong to different fields")
-    q = a.params.q
-    stride = math.gcd(a.stride, b.stride)
-    lift = round(math.log(stride, q))
+    params, stride = a.params, math.gcd(a.stride, b.stride)
+    # column k holds index stride*k: dividing indices by a power of q
+    # shifts their digits, which carry-free sums commute with
+    block, _ = coefficient_block(params, [a, b], stride)
     # carry-free sums add digits position by position, so the product's
     # support fits the grid that covers both factors
-    depth = covering_depth(max(a.max_index, b.max_index) // stride, q)
-    sa, sb = mask_values_on_grid([a, b], depth, lift) * math.sqrt(q)
-    return masks_from_symbols(a.params, (sa * sb)[None], [stride], lift)[0]
+    depth = covering_depth(block.shape[1] - 1, params.q)
+    sa, sb = _grid_transform(params, block, depth) * math.sqrt(params.q)
+    return Mask(params, coefficient_rows(params, (sa * sb)[None])[0], stride)
 
 
 def mask_add(a: Mask, b: Mask) -> Mask:

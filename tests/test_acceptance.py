@@ -108,12 +108,9 @@ def test_criterion_3_pair_pipeline():
     worst_matrix = 0.0
     worst_ratio = 0.0
     for case in range(20):
-        if case < 10:
-            wavelets, m0, size = haar.wavelets, haar.m0, 2
-        else:
-            wavelets, m0, size = two_wavelet.wavelets, two_wavelet.m0, 4
-        matrix = seeded_paraunitary(params, size, seed=case)
-        pair = derive_pair(wavelets, wavelets, m0, m0, matrix)
+        bank = haar if case < 10 else two_wavelet
+        matrix = seeded_paraunitary(params, 2 * bank.n_wavelets, seed=case)
+        pair = derive_pair(bank, bank, matrix)
         depth = 3
         r1 = check_uep(pair.primal, depth, tol=1e-10)
         r2 = check_uep(pair.dual, depth, tol=1e-10)

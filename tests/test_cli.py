@@ -21,6 +21,7 @@ import framefield
 from framefield import galois
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
 from framefield.construct import derive_pair, haar_bank, orthogonal_family, seeded_paraunitary
+from framefield.galois import FieldParams
 from framefield.mask import FilterBank, mask_values_on_grid, zero_mask
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
 
@@ -182,9 +183,23 @@ def test_verify_output_is_directory(tmp_path, capsys):
     assert len(_error_lines(capsys)) == 1
 
 
+def test_pair_rejects_banks_without_wavelets(tmp_path, capsys, p2, haar2):
+    # the seeded matrix would have size 2L = 0, a size the user never gave:
+    # the banks are refused before any matrix is built
+    bank = tmp_path / "m0_only.json"
+    bank.write_text(json.dumps(FilterBank(p2, haar2.m0, ()).to_json()))
+    out = tmp_path / "pair.json"
+    assert run(["pair", "--primal", bank, "--dual", bank, "--out", out]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(bank) in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_depth_too_small(tmp_path, p2, haar2):
     matrix = seeded_paraunitary(p2, 2, seed=1)
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0, matrix)
+    pair = derive_pair(haar2, haar2, matrix)
     bank = tmp_path / "long.json"
     bank.write_text(json.dumps(pair.primal.to_json()))
     assert run(["verify", bank, "--depth", 1, "--out", tmp_path / "r.json"]) == 3
@@ -418,6 +433,22 @@ def test_paraunitary_file_input(tmp_path, p2):
     ])
     assert code == 0
     assert str(pu) in load(out)["provenance"]["inputs"]
+
+
+def test_paraunitary_file_of_another_field_is_input_error(tmp_path, capsys):
+    # the matrix keeps the field its file names: GF(4) entries, of stride
+    # 4 = 2**2, are not read as GF(2) masks and mixed into GF(2) banks
+    bank, pu = tmp_path / "haar2.json", tmp_path / "pu4.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    pu.write_text(json.dumps(seeded_paraunitary(FieldParams(2, 2), 2, seed=4).to_json()))
+    for args, out in (
+        (["pair", "--primal", bank, "--dual", bank, "--out"], tmp_path / "pair.json"),
+        (["family", "--bank", bank, "--out-dir"], tmp_path / "family"),
+    ):
+        assert run([*args, out, "--paraunitary", pu]) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1 and "field parameters" in errors[0], errors
+        assert not out.exists()
 
 
 def test_paraunitary_bad_size(tmp_path, p2, capsys):
@@ -712,20 +743,27 @@ def test_verify_mixed_records_dual_hash(tmp_path):
     }
 
 
-def test_benchmark_tracer_runs_a_cli_op(tmp_path):
+def test_benchmark_tracer_runs_a_cli_op(tmp_path, p2):
     # perfbench/tracer.py wraps framefield functions by name before it runs
-    # the CLI, so renaming or deleting one of them fails here
+    # the CLI, so renaming or deleting one of them fails here; the pair and
+    # family ops reach the construction's and the matrix loader's wrappers
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    bank = tmp_path / "bank.json"
+    bank, pu = tmp_path / "bank.json", tmp_path / "pu.json"
     run(["gen", "haar", "--p", 2, "--out", bank])
-    spans = tmp_path / "spans.npz"
-    done = subprocess.run(
-        [sys.executable, str(tracer), str(spans), "0/verify", "--",
-         "verify", str(bank), "--out", str(tmp_path / "r.json")],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert spans.is_file()
+    pu.write_text(json.dumps(seeded_paraunitary(p2, 2, seed=1).to_json()))
+    ops = {
+        "verify": ["verify", bank, "--out", tmp_path / "r.json"],
+        "pair": ["pair", "--primal", bank, "--dual", bank, "--out", tmp_path / "pair.json"],
+        "family": ["family", "--bank", bank, "--paraunitary", pu, "--out-dir", tmp_path / "family"],
+    }
+    for name, args in ops.items():
+        spans = tmp_path / f"{name}.npz"
+        done = subprocess.run(
+            [sys.executable, str(tracer), str(spans), f"0/{name}", "--", *map(str, args)],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        assert spans.is_file()
 
 
 def test_experiments_run_without_the_construction_module(tmp_path):

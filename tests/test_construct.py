@@ -35,7 +35,9 @@ from framefield.mask import (
     FilterBank,
     Mask,
     _character_factor,
+    _grid_transform,
     check_mixed_orthogonality,
+    coefficient_block,
     check_uep,
     covering_depth,
     eval_mask,
@@ -182,8 +184,7 @@ def test_paraunitary_json_roundtrip(p2):
 
 
 def test_derive_pair_identity_pads_with_zeros(p2, haar2):
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0,
-                       identity_matrix(p2, 2))
+    pair = derive_pair(haar2, haar2, identity_matrix(p2, 2))
     g1, g2 = pair.primal.wavelets
     d1, d2 = pair.dual.wavelets
     assert np.array_equal(g1.coeffs, haar2.wavelets[0].coeffs)
@@ -194,7 +195,7 @@ def test_derive_pair_identity_pads_with_zeros(p2, haar2):
 
 
 def test_derive_pair_dft_cancellation(p2, haar2):
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0, dft2(p2))
+    pair = derive_pair(haar2, haar2, dft2(p2))
     m1 = haar2.wavelets[0].coeffs
     assert np.allclose(pair.primal.wavelets[0].coeffs, m1 / SQRT2)
     assert np.allclose(pair.primal.wavelets[1].coeffs, m1 / SQRT2)
@@ -206,15 +207,14 @@ def test_derive_pair_dft_cancellation(p2, haar2):
 
 def test_derive_pair_with_delays_certifies(p2, haar2):
     matrix = compose(delay_block(p2, 2, 0, 1), dft2(p2))
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0, matrix)
+    pair = derive_pair(haar2, haar2, matrix)
     for report in certify_family([pair.primal, pair.dual]):
         assert report.passed, report
         assert report.max_deviation < 1e-12
 
 
 def test_derive_pair_keeps_scaling_mask(p2, haar2):
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0,
-                       seeded_paraunitary(p2, 2, 3))
+    pair = derive_pair(haar2, haar2, seeded_paraunitary(p2, 2, 3))
     assert pair.primal.m0 is haar2.m0
     assert pair.dual.m0 is haar2.m0
 
@@ -222,21 +222,30 @@ def test_derive_pair_keeps_scaling_mask(p2, haar2):
 def test_derive_pair_rejects_bad_input(p2, haar2):
     bad_m0 = mask_scale(haar2.m0, 2.0)
     with pytest.raises(ConstructionError) as err:
-        derive_pair(haar2.wavelets, haar2.wavelets, bad_m0, haar2.m0,
-                    identity_matrix(p2, 2))
+        derive_pair(FilterBank(p2, bad_m0, haar2.wavelets), haar2, identity_matrix(p2, 2))
     assert err.value.report is not None
     assert not err.value.report.passed
 
 
 def test_derive_pair_shape_checks(p2, haar2):
     with pytest.raises(ParameterError):
-        derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0,
-                    identity_matrix(p2, 4))
+        derive_pair(haar2, haar2, identity_matrix(p2, 4))
+
+
+def test_derive_pair_rejects_mixed_fields_and_counts(p2, p3, haar2, haar3):
+    # checked before any transform: a bank of another field is never mixed
+    # under the matrix's field
+    with pytest.raises(ParameterError, match="share field parameters"):
+        derive_pair(haar2, haar3, identity_matrix(p2, 2))
+    with pytest.raises(ParameterError, match="share field parameters"):
+        derive_pair(haar3, haar3, identity_matrix(p2, 4))
+    two_wavelets = orthogonal_family(haar2, dft2(p2))[0]
+    with pytest.raises(ParameterError, match="equal wavelet counts"):
+        derive_pair(haar2, two_wavelets, identity_matrix(p2, 2))
 
 
 def test_mixed_check_symmetry(p2, haar2):
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0,
-                       seeded_paraunitary(p2, 2, 17))
+    pair = derive_pair(haar2, haar2, seeded_paraunitary(p2, 2, 17))
     ab = check_mixed_orthogonality(pair.primal, pair.dual, 3)
     ba = check_mixed_orthogonality(pair.dual, pair.primal, 3)
     assert ab.passed == ba.passed
@@ -363,7 +372,8 @@ def reference_unitarity(params, entries):
     depth = covering_depth(max(m.max_index for m in flat), params.q)
     size = len(entries)
     # stride-q symbols at the coset representatives t*x, x on the depth-(s-1) grid
-    values = mask_values_on_grid(flat, depth - 1, lift=1) * math.sqrt(params.q)
+    block = coefficient_block(params, flat, params.q)[0]
+    values = _grid_transform(params, block, depth - 1) * math.sqrt(params.q)
     values = values.reshape(size, size, -1)
     cols = values.transpose(0, 2, 1)  # (row of the matrix, representative, column)
     gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols) - np.eye(size)
@@ -439,7 +449,7 @@ def test_paraunitary_file_keeps_entry_strides(tmp_path, p3):
                 entry["stride"] = 1
     path = tmp_path / "pu.json"
     path.write_text(json.dumps(obj))
-    loaded = Paraunitary.from_json(_load_json(path, {}), params=p3)
+    loaded = Paraunitary.from_json(_load_json(path, {}))
     want = [[Mask.from_json(p3, m) for m in row] for row in json.loads(path.read_text())["entries"]]
     assert {m.stride for row in want for m in row} == {1, 3, 9}
     assert_same_entries(loaded, want)

@@ -17,12 +17,14 @@ from framefield.mask import (
     Mask,
     _character_factor,
     _grid_transform,
+    block_masks,
     character_table,
+    coefficient_block,
+    coefficient_rows,
     covering_depth,
     eval_mask,
     from_spectrum,
     mask_values_at_digits,
-    mask_values_on_grid,
     masks_from_symbols,
     spectrum,
 )
@@ -197,8 +199,14 @@ def test_masks_from_symbols_inverts_grid_values(rng, p, c, lift):
     masks = [Mask(params, rng.standard_normal(n) + 1j * rng.standard_normal(n), stride)
              for n, stride in [(q * q, base), (q + 2, base * q), (2, base * q * q), (0, base)]]
     depth = covering_depth(max(m.max_index for m in masks) // base, q)
-    symbols = mask_values_on_grid(masks, depth, lift=lift) * math.sqrt(q)
-    for got, want in zip(masks_from_symbols(params, symbols, [m.stride for m in masks], lift), masks):
+    block = coefficient_block(params, masks, base)[0]
+    symbols = _grid_transform(params, block, depth) * math.sqrt(q)
+    strides = [m.stride for m in masks]
+    if lift == 0:
+        got_masks = masks_from_symbols(params, symbols, strides)
+    else:  # on the lattice q*N0, column k of the rows holds index q*k
+        got_masks = block_masks(params, coefficient_rows(params, symbols), strides, base)
+    for got, want in zip(got_masks, masks):
         assert got.stride == want.stride and len(got) == len(want)
         assert np.abs(got.coeffs - want.coeffs).max(initial=0.0) <= 1e-13
 
@@ -250,16 +258,19 @@ def test_short_masks_accept_digit_rows_wider_than_the_grid_cap(p2, rng):
 
 @pytest.mark.parametrize("p, c", [(2, 1), (3, 1), (2, 2)])
 def test_lifted_grid_values_match_eval_mask(rng, p, c):
-    # values at t**lift * x: the coset representatives of the polyphase and
+    # the block of masks on the lattice q**lift * N0 gives their values at
+    # t**lift * x: the coset representatives of the polyphase and
     # paraunitary sweeps are the lift = 1 case
     params = FieldParams(p, c)
     q = params.q
     masks = [Mask(params, rng.standard_normal(n) + 1j * rng.standard_normal(n), stride)
              for n, stride in [(q * q + 1, 1), (q + 2, q), (3, q * q)]]
     for lift in (1, 2):
+        on_lattice = [m for m in masks if m.stride % q ** lift == 0]
+        block = coefficient_block(params, on_lattice, q ** lift)[0]
         for depth in (0, 1, 2):
-            values = mask_values_on_grid(masks, depth, lift=lift)
+            values = _grid_transform(params, block, depth)
             for g in range(q ** depth):
                 x = FieldElement(params, lift, tuple((g // q ** i) % q for i in range(depth)))
-                for m, value in zip(masks, values[:, g]):
+                for m, value in zip(on_lattice, values[:, g], strict=True):
                     assert abs(value - eval_mask(m, x)) <= 1e-13

@@ -26,7 +26,9 @@ from framefield.galois import FieldParams
 from framefield.localfield import index_add
 from framefield.mask import (
     TRIM_CUTOFF,
+    FilterBank,
     Mask,
+    covering_depth,
     mask_add,
     mask_mul,
     trim_mask,
@@ -143,11 +145,28 @@ def test_seeded_paraunitary_matches_factor_chain(params, seed, size):
 @given(params=fields, seed=st.integers(0, 2 ** 16), length=st.integers(1, 2), data=st.data())
 def test_mix_wavelets_matches_convolution(params, seed, length, data):
     matrix = seeded_paraunitary(params, 2 * length, seed)
-    wavelets = random_masks(data.draw, params, length)
+    m0, *wavelets = random_masks(data.draw, params, length + 1)
     offset = data.draw(st.integers(0, length))
-    got = _mix_wavelets(matrix, offset, wavelets)
-    for g, w in zip(got, reference_mix(matrix, offset, wavelets), strict=True):
+    got = _mix_wavelets(matrix, offset, FilterBank(params, m0, wavelets))
+    assert got.m0 is m0
+    for g, w in zip(got.wavelets, reference_mix(matrix, offset, wavelets), strict=True):
         assert_same_mask(g, w)
+
+
+@given(params=fields, seed=st.integers(0, 2 ** 16), length=st.integers(1, 2), data=st.data())
+def test_mix_wavelets_ignores_the_width_of_m0(params, seed, length, data):
+    # the wavelet rows keep their own width, so an m0 that reaches past the
+    # covering depth of the matrix and the wavelets does not deepen the
+    # product grid: the same wavelets come out under a short and a long m0
+    matrix = seeded_paraunitary(params, 2 * length, seed)
+    wavelets = random_masks(data.draw, params, length)
+    top = max(matrix.max_index, *(m.max_index for m in wavelets))
+    long_m0 = Mask(params, np.ones(params.q ** covering_depth(top, params.q) + 1))
+    short, long = (_mix_wavelets(matrix, 0, FilterBank(params, m0, wavelets))
+                   for m0 in (zero_mask(params), long_m0))
+    for a, b in zip(short.wavelets, long.wavelets, strict=True):
+        assert a.stride == b.stride
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 @given(params=fields, seed=st.integers(0, 2 ** 16), size=st.integers(1, 3), delay=st.integers(0, 2))

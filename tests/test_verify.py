@@ -251,7 +251,7 @@ def test_parseval_family_bank(p2, haar2):
 
 def test_mixed_frame_orthogonal_pair(p2, haar2):
     matrix = compose(delay_block(p2, 2, 0, 1), seeded_paraunitary(p2, 2, seed=4))
-    pair = derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0, matrix)
+    pair = derive_pair(haar2, haar2, matrix)
     report = mixed_frame_experiment(pair, 6, 4, trials=10, seed=5)
     assert report.passed
     assert report.max_deviation < 1e-10
@@ -324,7 +324,7 @@ def test_telescoping_refinement_identity(p2, haar2):
 
 def _orthogonal_pair(p2, haar2, seed=7):
     matrix = seeded_paraunitary(p2, 2, seed=seed)
-    return derive_pair(haar2.wavelets, haar2.wavelets, haar2.m0, haar2.m0, matrix)
+    return derive_pair(haar2, haar2, matrix)
 
 
 def test_multiplier_identity_reduces_to_cross_sum(p2, haar2):
