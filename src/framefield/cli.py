@@ -41,13 +41,11 @@ from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
     FilterBank,
-    Mask,
     check_mixed_orthogonality,
     check_polyphase_unitary,
     check_subqmf,
     check_uep,
     coeff_pairs,
-    covering_depth,
 )
 
 EXIT_OK = 0
@@ -80,11 +78,11 @@ def _open_output(path: Path):
 _NON_FINITE_JSON = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _mask_json(mask: Mask, role: str | None = None) -> str:
-    """``json.dumps(mask.to_json(role), sort_keys=True)``, with each distinct
-    coefficient float formatted once."""
+def _mask_json(coeffs: np.ndarray, stride: int, role: str | None = None) -> str:
+    """``json.dumps(row_json(coeffs, stride, role), sort_keys=True)`` for a
+    trimmed row, with each distinct coefficient float formatted once."""
     parts = []
-    for column in (mask.coeffs.real, mask.coeffs.imag):
+    for column in (coeffs.real, coeffs.imag):
         text = _float_reprs(column)
         if not np.isfinite(column).all():
             text = [_NON_FINITE_JSON.get(t, t) for t in text]
@@ -92,14 +90,14 @@ def _mask_json(mask: Mask, role: str | None = None) -> str:
     fields = ['"coeffs": [' + ", ".join(map("[{}, {}]".format, *parts)) + "]"]
     if role is not None:
         fields.append('"role": ' + json.dumps(role))
-    fields.append('"stride": ' + json.dumps(mask.stride))
+    fields.append('"stride": ' + json.dumps(stride))
     return "{" + ", ".join(fields) + "}"
 
 
-def _deferred(mask: Mask, role: str | None = None):
-    """The JSON text of ``mask.to_json(role)`` as a call that
-    ``_write_json`` makes when it reaches the mask."""
-    return functools.partial(_mask_json, mask, role)
+def _deferred(coeffs: np.ndarray, stride: int, role: str | None = None):
+    """The JSON text of a trimmed row as a call that ``_write_json`` makes
+    when it reaches the row."""
+    return functools.partial(_mask_json, coeffs, stride, role)
 
 
 def _write_value(write, value) -> None:
@@ -124,7 +122,7 @@ def _write_value(write, value) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     """``payload`` plus a ``metadata`` block, as the line that
-    ``json.dumps(..., sort_keys=True)`` gives.  Masks passed as
+    ``json.dumps(..., sort_keys=True)`` gives.  Rows passed as
     ``_deferred`` calls are converted and written one at a time."""
     payload = {**payload, "metadata": {"created": _now()}}
     with _open_output(path) as handle:
@@ -136,7 +134,7 @@ def _coeff_arrays(obj: dict) -> dict:
     """``json.loads`` object hook: a mask's ``coeffs`` list becomes an
     (n, 2) array as soon as its object is parsed, so the lists of one mask
     at a time exist.  A list that is not [re, im] pairs stays, for
-    ``Mask.from_json`` to reject."""
+    ``mask_row`` to reject."""
     coeffs = obj.get("coeffs")
     if isinstance(coeffs, list):
         try:
@@ -243,7 +241,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     tol = _positive(args.tol, "tolerance")
-    depth = args.depth if args.depth else covering_depth(bank.max_index, bank.params.q)
+    depth = args.depth if args.depth else bank.depth()
     dual = None
     if "mixed" in wanted:
         if not args.dual:
@@ -259,17 +257,20 @@ def cmd_verify(args) -> int:
 
 
 def _load_paraunitary(args, params, size: int, inputs: dict):
-    """The paraunitary matrix of ``--paraunitary``, over the field its file
-    names and with its hash recorded in ``inputs`` as :func:`_load_json`
-    records it, else the seeded one over ``params``."""
-    from .construct import Paraunitary, seeded_paraunitary
+    """The size x size matrix over ``params`` of ``--paraunitary`` (its hash
+    recorded in ``inputs``), rejected before any entry is read if it is of
+    another field or size, else the seeded one."""
+    from .construct import Paraunitary, matrix_header, seeded_paraunitary
 
     if not args.paraunitary:
         return seeded_paraunitary(params, size, args.seed)
-    pu = Paraunitary.from_json(_load_json(Path(args.paraunitary), inputs))
-    if pu.size != size:
-        raise ParameterError(f"paraunitary size {pu.size} does not match required {size}")
-    return pu
+    obj = _load_json(Path(args.paraunitary), inputs)
+    file_params, file_size = matrix_header(obj)
+    if file_params != params:
+        raise ParameterError(f"{args.paraunitary} and the banks must share field parameters")
+    if file_size != size:
+        raise ParameterError(f"paraunitary size {file_size} does not match required {size}")
+    return Paraunitary.from_json(obj)
 
 
 def cmd_pair(args) -> int:

@@ -21,20 +21,19 @@ from .galois import FieldParams, addressable
 from .localfield import index_sub
 from .mask import (
     CheckReport,
+    CoefficientBlock,
     FilterBank,
-    Mask,
-    bank_depth,
     block_masks,
     character_table,
     check_mixed_orthogonality,
     check_uep,
-    coefficient_block,
     coefficient_rows,
     coset_values,
     covering_depth,
     gram_deviation,
-    masks_from_symbols,
+    mask_row,
     require_tight,
+    row_json,
     sweep_report,
     _grid_transform,
     DEFAULT_MATRIX_TOL,
@@ -50,63 +49,38 @@ def haar_bank(params: FieldParams) -> FilterBank:
     j takes the j-th character-table row, so the modulation matrix is
     unitary at every point and every check below passes exactly.
     """
-    return FilterBank._of_block(params, character_table(params), (1,) * params.q)
+    return FilterBank._of_block(params, character_table(params))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Paraunitary:
-    """Square matrix of stride-q symbols, unitary at every grid point.
+class Paraunitary(CoefficientBlock):
+    """Square matrix of stride-q symbols, unitary at every grid point: a
+    block on the stride-q lattice, row i*size + j holding entry (i, j),
+    certified when it is made."""
 
-    The entries are one ``coefficient_block`` on the stride-q lattice (a
-    FilterBank's is on the stride-1 lattice), row i*size + j holding entry
-    (i, j).  Entry masks are made only for ``entries`` and the JSON form.
-    """
-
-    params: FieldParams
-    size: int
-    coeffs: np.ndarray
-    strides: tuple
-    max_index: int
+    lattice_power = 1
 
     def __init__(self, params: FieldParams, size: int, entries):
         entries = tuple(tuple(row) for row in entries)
-        if len(entries) != size or any(len(row) != size for row in entries):
-            raise ParameterError(f"entries must form a {size}x{size} matrix")
-        flat = [m for row in entries for m in row]
-        if any(m.params != params for m in flat):
-            raise ParameterError("entries must share the matrix field parameters")
-        self._certify(params, size, *coefficient_block(params, flat, params.q))
+        _check_grid(entries, size)
+        super().__init__(params, [m for row in entries for m in row])
+        self._certified()
 
-    @classmethod
-    def _of_block(cls, params: FieldParams, size: int, block: np.ndarray, strides=None):
-        """The matrix of a coefficient block whose last column holds a
-        nonzero coefficient (stride-q entries unless ``strides`` says
-        otherwise), certified."""
-        matrix = cls.__new__(cls)
-        matrix._certify(params, size, block, strides or (params.q,) * (size * size))
-        return matrix
-
-    def _certify(self, params, size, block, strides) -> None:
-        """Keep the block, whose last column must hold a nonzero
-        coefficient, and check it."""
-        block.flags.writeable = False
-        max_index = (block.shape[1] - 1) * params.q if block.shape[1] else -1
-        self.__dict__.update(params=params, size=size, coeffs=block, strides=strides,
-                             max_index=max_index)
+    def _certified(self) -> "Paraunitary":
         report = self.unitarity_report()
         if not report.passed:
-            raise ConstructionError(
-                f"matrix is not paraunitary (deviation {report.max_deviation:.3e})", report
-            )
+            message = f"matrix is not paraunitary (deviation {report.max_deviation:.3e})"
+            raise ConstructionError(message, report)
+        return self
+
+    @property
+    def size(self) -> int:
+        return math.isqrt(len(self.coeffs))
 
     @functools.cached_property
     def entries(self) -> tuple:
         """The entries as masks, row by row."""
-        flat = block_masks(self.params, self.coeffs, self.strides, self.params.q)
-        return tuple(tuple(flat[i * self.size : (i + 1) * self.size]) for i in range(self.size))
-
-    def depth(self) -> int:
-        return covering_depth(self.max_index, self.params.q)
+        flat, size = self._masks(), self.size
+        return tuple(flat[i * size : (i + 1) * size] for i in range(size))
 
     def unitarity_report(self, tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:
         """Column orthonormality at every covering-depth grid point.  The
@@ -127,35 +101,43 @@ class Paraunitary:
     @classmethod
     def from_symbols(cls, params: FieldParams, symbols: np.ndarray) -> "Paraunitary":
         """The matrix whose entry symbols at the coset representatives of
-        some depth are the (R, size, size) stack ``symbols``, certified.
-        The stack is copied into entry rows (row i*size + j holds entry
-        (i, j) at every representative) once and not used again, so a stack
-        that no caller holds is freed before the inverse transform runs in
-        the rows."""
+        some depth are the (R, size, size) stack ``symbols``.  The stack is
+        copied into entry rows once and not used again, so a stack that no
+        caller holds is freed before the inverse transform runs."""
         size = symbols.shape[1]
         rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
         del symbols
         block = _trim_columns(coefficient_rows(params, rows.reshape(size * size, -1)))
         del rows  # only the trimmed block is kept while it is certified
-        return cls._of_block(params, size, block)
+        return cls._of_block(params, block)._certified()
 
     def to_json(self) -> dict:
-        return {
-            "field": self.params.to_json(),
-            "size": self.size,
-            "entries": [[m.to_json() for m in row] for row in self.entries],
-        }
+        flat, size = self._rows_json(row_json, [None] * len(self.coeffs)), self.size
+        entries = [flat[i * size : (i + 1) * size] for i in range(size)]
+        return {"field": self.params.to_json(), "size": size, "entries": entries}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Paraunitary":
-        try:
-            params = FieldParams.from_json(obj["field"])
-            entries = tuple(
-                tuple(Mask.from_json(params, m) for m in row) for row in obj["entries"]
-            )
-            return cls(params, int(obj["size"]), entries)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"bad paraunitary object: {exc}") from exc
+        params, _ = matrix_header(obj)
+        rows = [mask_row(params, entry) for row in obj["entries"] for entry in row]
+        return cls._of_rows(params, rows)._certified()
+
+
+def _check_grid(entries, size: int) -> None:
+    if size < 1:
+        raise ParameterError(f"matrix size must be at least 1, got {size}")
+    if len(entries) != size or any(len(row) != size for row in entries):
+        raise ParameterError(f"entries must form a {size}x{size} matrix")
+
+
+def matrix_header(obj: dict) -> tuple:
+    """The field and size of a ``Paraunitary.to_json`` object, read before its entries."""
+    try:
+        params, size = FieldParams.from_json(obj["field"]), int(obj["size"])
+        _check_grid(obj["entries"], size)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"bad paraunitary object: {exc}") from exc
+    return params, size
 
 
 def _trim_columns(block: np.ndarray) -> np.ndarray:
@@ -186,7 +168,7 @@ def _seeded_unitary(size: int, *key: int) -> np.ndarray:
 def constant_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary:
     """Gram-Schmidt of a seeded random complex matrix, as constant symbols."""
     unitary = _seeded_unitary(size, 0xC0, seed)
-    return Paraunitary._of_block(params, size, unitary.reshape(size * size, 1))
+    return Paraunitary._of_block(params, unitary.reshape(size * size, 1))._certified()
 
 
 def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Paraunitary:
@@ -198,7 +180,7 @@ def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Pa
     block = np.zeros((size * size, delay + 1), dtype=np.complex128)
     slots = np.where(np.arange(size) == position, delay, 0)
     block[np.arange(size) * (size + 1), slots] = 1.0
-    return Paraunitary._of_block(params, size, block)
+    return Paraunitary._of_block(params, block)._certified()
 
 
 def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
@@ -217,7 +199,7 @@ def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
     block = np.zeros((size * size, max(moved, default=-1) + 1), dtype=np.complex128)
     block[:, moved] = adjoint
     strides = tuple(a.strides[j * size + i] for i in range(size) for j in range(size))
-    return Paraunitary._of_block(a.params, size, _trim_columns(block), strides)
+    return Paraunitary._of_block(a.params, _trim_columns(block), strides)._certified()
 
 
 def compose(a: Paraunitary, b: Paraunitary) -> Paraunitary:
@@ -225,7 +207,7 @@ def compose(a: Paraunitary, b: Paraunitary) -> Paraunitary:
     as one matrix product per coset representative of the covering depth."""
     if a.params != b.params or a.size != b.size:
         raise ParameterError("composed matrices must share field and size")
-    depth = covering_depth(max(a.max_index, b.max_index), a.params.q)
+    depth = max(a.depth(), b.depth())
     return Paraunitary.from_symbols(a.params, a.symbols(depth) @ b.symbols(depth))
 
 
@@ -274,8 +256,8 @@ class FramePair:
     def params(self) -> FieldParams:
         return self.primal.params
 
-    def to_json(self, provenance: dict | None = None, mask_json=Mask.to_json) -> dict:
-        obj = {"primal": self.primal.to_json(mask_json), "dual": self.dual.to_json(mask_json)}
+    def to_json(self, provenance: dict | None = None, row_json=row_json) -> dict:
+        obj = {"primal": self.primal.to_json(row_json), "dual": self.dual.to_json(row_json)}
         if provenance is not None:
             obj["provenance"] = provenance
         return obj
@@ -306,7 +288,7 @@ def _mix_wavelets(matrix: Paraunitary, column_offset: int, bank: FilterBank) -> 
     entries, values = _product_symbols(matrix, _trim_columns(bank.coeffs[1:]))
     block = entries[:, :, column_offset : column_offset + bank.n_wavelets]
     out = np.einsum("Rkl,lRa->kRa", block, values).reshape(matrix.size, -1)
-    wavelets = masks_from_symbols(bank.params, out, [1] * matrix.size)
+    wavelets = block_masks(bank.params, coefficient_rows(bank.params, out), [1] * matrix.size)
     return FilterBank(bank.params, bank.m0, wavelets)
 
 
@@ -342,15 +324,16 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
         out = np.einsum("Rl,nRa->nlRa", entries[:, :, c], values)
         strides = [math.gcd(matrix.strides[l * matrix.size + c], stride)
                    for stride in bank.strides[1:] for l in range(matrix.size)]
-        wavelets = masks_from_symbols(bank.params, out.reshape(len(strides), -1), strides)
-        families.append(FilterBank(bank.params, bank.m0, tuple(wavelets)))
+        # a stride-s wavelet reads every s-th column (the others hold only rounding)
+        out = coefficient_rows(bank.params, out.reshape(len(strides), -1))
+        families.append(FilterBank(bank.params, bank.m0, block_masks(bank.params, out, strides)))
     return families
 
 
 def certify_family(families, depth: int | None = None, tol: float = DEFAULT_MATRIX_TOL):
     """UEP report per family plus one mixed report per unordered pair; a
     frame pair is the family [primal, dual]."""
-    depth = depth or bank_depth(*families)
+    depth = depth or max(bank.depth() for bank in families)
     reports = [check_uep(bank, depth, tol) for bank in families]
     for i in range(len(families)):
         for j in range(i + 1, len(families)):

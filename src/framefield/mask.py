@@ -93,17 +93,7 @@ class Mask:
         return len(self.coeffs) == 0
 
     def to_json(self, role: str | None = None) -> dict:
-        obj = {
-            "stride": self.stride,
-            "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag)).tolist(),
-        }
-        if role is not None:
-            obj = {"role": role, **obj}
-        return obj
-
-    @classmethod
-    def from_json(cls, params: FieldParams, obj: dict) -> "Mask":
-        return cls(params, *mask_row(params, obj))
+        return row_json(self.coeffs, self.stride, role)
 
 
 MaskRow = namedtuple("MaskRow", "coeffs stride")  # a Mask's data, without the Mask
@@ -124,6 +114,13 @@ def mask_row(params: FieldParams, obj: dict) -> MaskRow:
     _check_stride(stride, params.q)
     # each [re, im] row read as one complex value, signed zeros kept
     return MaskRow(pairs.view(np.complex128)[:, 0], stride)
+
+
+def row_json(coeffs: np.ndarray, stride: int, role: str | None = None) -> dict:
+    """The JSON object of the mask with trimmed coefficients ``coeffs`` and
+    ``stride``: [re, im] pairs, and the role first when there is one."""
+    obj = {"stride": stride, "coeffs": np.column_stack((coeffs.real, coeffs.imag)).tolist()}
+    return obj if role is None else {"role": role, **obj}
 
 
 def coeff_pairs(coeffs) -> np.ndarray:
@@ -186,39 +183,78 @@ def block_masks(params: FieldParams, coeffs: np.ndarray, strides, base: int = 1)
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class FilterBank:
-    """A refinement mask plus wavelet masks over shared field parameters,
-    kept as one stride-1 :func:`coefficient_block` (row 0 is m0) whose last
-    column is nonzero.  ``m0``, ``wavelets`` and ``masks`` are the masks the
-    bank was built from, else made from the block when first read."""
+class CoefficientBlock:
+    """Masks as one read-only :func:`coefficient_block`, last column nonzero, on
+    the lattice base*N0, base = q**lattice_power (1 for a bank, q for a matrix),
+    and its rows' strides.  Files are read and written row by row."""
 
     params: FieldParams
     coeffs: np.ndarray
     strides: tuple
 
-    def __init__(self, params: FieldParams, m0: Mask, wavelets):
-        masks = (m0, *wavelets)
+    lattice_power = 0
+
+    def __init__(self, params: FieldParams, masks):
         if any(m.params != params for m in masks):
-            raise ParameterError("all masks of a bank must share field parameters")
-        block, strides = coefficient_block(params, masks)
-        self.__dict__.update(params=params, coeffs=block, strides=strides,
-                             m0=m0, wavelets=masks[1:])
+            raise ParameterError("all masks of a block must share field parameters")
+        block, strides = coefficient_block(params, masks, self._base(params))
+        self.__dict__.update(params=params, coeffs=block, strides=strides)
 
     @classmethod
-    def _of_block(cls, params: FieldParams, coeffs: np.ndarray, strides) -> "FilterBank":
-        """The bank of a stride-1 block whose last column is nonzero, kept read-only."""
+    def _base(cls, params: FieldParams) -> int:
+        return params.q ** cls.lattice_power
+
+    @classmethod
+    def _of_block(cls, params: FieldParams, coeffs: np.ndarray, strides=None):
+        """The block ``coeffs``, kept read-only, its rows of stride base unless ``strides`` says."""
         coeffs.flags.writeable = False
-        bank = cls.__new__(cls)
-        bank.__dict__.update(params=params, coeffs=coeffs, strides=tuple(strides))
-        return bank
+        block = cls.__new__(cls)
+        strides = (cls._base(params),) * len(coeffs) if strides is None else tuple(strides)
+        block.__dict__.update(params=params, coeffs=coeffs, strides=strides)
+        return block
+
+    @classmethod
+    def _of_rows(cls, params: FieldParams, rows):
+        """The block of masks or :func:`mask_row` rows, each row trimmed once."""
+        return cls._of_block(params, *coefficient_block(params, rows, cls._base(params)))
+
+    @property
+    def max_index(self) -> int:
+        width = self.coeffs.shape[1]
+        return (width - 1) * self._base(self.params) if width else -1
+
+    def depth(self) -> int:
+        return covering_depth(self.max_index, self.params.q)
+
+    def _masks(self, rows=slice(None)) -> tuple:
+        """The masks of ``rows``, each reading its row at its stride."""
+        base = self._base(self.params)
+        return tuple(block_masks(self.params, self.coeffs[rows], self.strides[rows], base))
+
+    def _rows_json(self, row_json, roles) -> list:
+        """``row_json`` of each row read at its stride, as ``Mask.to_json`` writes its mask."""
+        base = self._base(self.params)
+        return [row_json(_trimmed(row[:: max(stride // base, 1)]), stride, role)
+                for row, stride, role in zip(self.coeffs, self.strides, roles)]
+
+
+class FilterBank(CoefficientBlock):
+    """A refinement mask plus wavelet masks: a stride-1 block, row 0 m0.
+    ``m0``, ``wavelets`` and ``masks`` are the masks the bank was built
+    from, else made from the block when first read."""
+
+    def __init__(self, params: FieldParams, m0: Mask, wavelets):
+        masks = (m0, *wavelets)
+        super().__init__(params, masks)
+        self.__dict__.update(m0=m0, wavelets=masks[1:])
 
     @functools.cached_property
     def m0(self) -> Mask:
-        return block_masks(self.params, self.coeffs[:1], self.strides[:1])[0]
+        return self._masks(slice(1))[0]
 
     @functools.cached_property
     def wavelets(self) -> tuple:
-        return tuple(block_masks(self.params, self.coeffs[1:], self.strides[1:]))
+        return self._masks(slice(1, None))
 
     @functools.cached_property
     def masks(self) -> tuple:
@@ -228,19 +264,12 @@ class FilterBank:
     def n_wavelets(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def max_index(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    def to_json(self, mask_json=Mask.to_json) -> dict:
-        """The bank as a JSON object, with ``mask_json(mask, role)`` in
-        place of each mask's object; a streaming writer passes one that
+    def to_json(self, row_json=row_json) -> dict:
+        """The bank as a JSON object, with ``row_json(coeffs, stride, role)``
+        in place of each mask's object; a streaming writer passes one that
         defers the conversion."""
-        return {
-            "field": self.params.to_json(),
-            "masks": [mask_json(self.m0, "m0")]
-            + [mask_json(m, "wavelet") for m in self.wavelets],
-        }
+        roles = ["m0"] + ["wavelet"] * self.n_wavelets
+        return {"field": self.params.to_json(), "masks": self._rows_json(row_json, roles)}
 
     @classmethod
     def from_json(cls, obj: dict, *, require_normalized: bool = True) -> "FilterBank":
@@ -254,7 +283,7 @@ class FilterBank:
         if len(m0) != 1:
             raise ParameterError(f"bank declares {len(m0)} refinement masks, not one")
         rows.insert(0, rows.pop(m0[0]))
-        bank = cls._of_block(params, *coefficient_block(params, rows))
+        bank = cls._of_rows(params, rows)
         if require_normalized:
             # m0(0), the sum of m0's coefficients over sqrt(q), can overflow
             # to inf or NaN, which the check rejects without a warning first
@@ -451,16 +480,6 @@ def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def masks_from_symbols(params: FieldParams, symbols: np.ndarray, strides) -> list:
-    """Inverse of sqrt(q) * mask_values_on_grid(masks, e): the masks whose
-    symbol values on the depth-e grid, in grid order, are the rows of
-    ``symbols`` (M, q**e), given up as for :func:`coefficient_rows`.  A
-    mask of stride s keeps every s-th coefficient of its row (the others
-    hold only rounding).
-    """
-    return block_masks(params, coefficient_rows(params, symbols), strides)
-
-
 # ---------------------------------------------------------------------------
 # algebra on masks
 
@@ -532,7 +551,7 @@ def polyphase_symbols(bank: FilterBank) -> np.ndarray:
     covering depth."""
     q = bank.params.q
     rows = _fold(bank.coeffs, q).transpose(0, 2, 1).reshape(len(bank.coeffs) * q, -1)
-    values = _grid_transform(bank.params, rows, covering_depth(bank.max_index, q) - 1)
+    values = _grid_transform(bank.params, rows, bank.depth() - 1)
     return (values * math.sqrt(q)).reshape(len(bank.coeffs), q, -1)
 
 
@@ -556,10 +575,6 @@ def covering_depth(max_index: int, q: int) -> int:
     while q ** depth <= max_index:
         depth += 1
     return depth
-
-
-def bank_depth(*banks: FilterBank) -> int:
-    return covering_depth(max(b.max_index for b in banks), banks[0].params.q)
 
 
 def swept_depth(depth: int, max_index: int, q: int) -> int:
@@ -632,7 +647,7 @@ def check_uep(bank: FilterBank, depth: int, tol: float = DEFAULT_MATRIX_TOL) -> 
 def require_tight(bank: FilterBank, label: str) -> None:
     """Raise ConstructionError, with the report, unless ``bank`` passes the
     tight-frame (UEP) check at its covering depth."""
-    report = check_uep(bank, bank_depth(bank))
+    report = check_uep(bank, bank.depth())
     if not report.passed:
         raise ConstructionError(f"{label} bank fails the tight-frame check", report)
 

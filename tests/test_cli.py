@@ -466,6 +466,49 @@ def test_paraunitary_bad_size(tmp_path, p2, capsys):
     assert len(_error_lines(capsys)) == 1
 
 
+def test_paraunitary_file_is_checked_before_its_entries_are_read(tmp_path, capsys, monkeypatch):
+    # a matrix of the wrong size or field is rejected from its size and
+    # field alone: no entry row is read and nothing is certified
+    from framefield import construct
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("entry read or certified")
+
+    bank, pu3, pu4 = tmp_path / "haar2.json", tmp_path / "pu3.json", tmp_path / "pu4.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    pu3.write_text(json.dumps(seeded_paraunitary(FieldParams(2, 1), 3, seed=1).to_json()))
+    pu4.write_text(json.dumps(seeded_paraunitary(FieldParams(2, 2), 2, seed=1).to_json()))
+    monkeypatch.setattr(construct, "mask_row", refuse)
+    monkeypatch.setattr(construct.Paraunitary, "unitarity_report", refuse)
+    for args, out in (
+        (["pair", "--primal", bank, "--dual", bank, "--paraunitary", pu3, "--out"],
+         tmp_path / "pair.json"),
+        (["family", "--bank", bank, "--size", 2, "--paraunitary", pu3, "--out-dir"],
+         tmp_path / "family"),
+        (["family", "--bank", bank, "--paraunitary", pu4, "--out-dir"], tmp_path / "family"),
+    ):
+        assert run([*args, out]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_paraunitary_file_of_no_size_names_it(tmp_path, capsys, p2, size):
+    obj = seeded_paraunitary(p2, 2, seed=11).to_json()
+    obj["size"], obj["entries"] = size, []
+    pu = tmp_path / "pu.json"
+    pu.write_text(json.dumps(obj))
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    out = tmp_path / "family"
+    assert run(["family", "--bank", bank, "--paraunitary", pu, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: matrix size must be at least 1, got {size}"]
+    assert not out.exists()
+
+
 def test_experiment_parseval(tmp_path):
     bank = tmp_path / "bank.json"
     run(["gen", "haar", "--p", 2, "--out", bank])

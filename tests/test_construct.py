@@ -14,7 +14,6 @@ from framefield.construct import (
     FramePair,
     Paraunitary,
     _seeded_symbols,
-    bank_depth,
     certify_family,
     compose,
     constant_paraunitary,
@@ -42,6 +41,7 @@ from framefield.mask import (
     covering_depth,
     eval_mask,
     eval_symbol,
+    mask_row,
     mask_values_on_grid,
     sweep_report,
     zero_mask,
@@ -296,7 +296,7 @@ def test_family_scaling_mask_unchanged(p2, haar2):
 def test_family_column_length_preservation(p3, haar3):
     matrix = seeded_paraunitary(p3, 2, seed=8)
     families = orthogonal_family(haar3, matrix)
-    depth = bank_depth(*families)
+    depth = max(family.depth() for family in families)
     base = mask_values_on_grid(list(haar3.wavelets), depth)
     base_energy = (np.abs(base) ** 2).sum(axis=0)
     for family in families:
@@ -450,8 +450,66 @@ def test_paraunitary_file_keeps_entry_strides(tmp_path, p3):
     path = tmp_path / "pu.json"
     path.write_text(json.dumps(obj))
     loaded = Paraunitary.from_json(_load_json(path, {}))
-    want = [[Mask.from_json(p3, m) for m in row] for row in json.loads(path.read_text())["entries"]]
+    want = [[Mask(p3, *mask_row(p3, m)) for m in row] for row in json.loads(path.read_text())["entries"]]
     assert {m.stride for row in want for m in row} == {1, 3, 9}
     assert_same_entries(loaded, want)
     assert_same_report(loaded.unitarity_report(), reference_unitarity(p3, want))
     assert Paraunitary.from_json(loaded.to_json()).to_json() == obj
+
+
+def test_matrix_file_is_read_and_written_without_masks(monkeypatch, p3):
+    # the entries go from the file's rows into the block and back, with no
+    # mask made on either way
+    matrix = compose(delay_block(p3, 3, 1, 2), constant_paraunitary(p3, 3, 5))
+    made = []
+    post_init = Mask.__post_init__
+    monkeypatch.setattr(Mask, "__post_init__", lambda self: made.append(self) or post_init(self))
+    obj = json.loads(json.dumps(matrix.to_json()))
+    loaded = Paraunitary.from_json(obj)
+    assert loaded.to_json() == obj
+    assert made == []
+
+
+def per_mask_json(matrix):
+    """The matrix's JSON object as its entry masks write themselves."""
+    entries = [[m.to_json() for m in row] for row in matrix.entries]
+    return {"field": matrix.params.to_json(), "size": matrix.size, "entries": entries}
+
+
+@st.composite
+def matrices(draw):
+    """A constant or delay matrix, maybe composed with another and maybe
+    adjoined, over GF(2**c) for c <= 4, GF(3), GF(9) or GF(5)."""
+    params = FieldParams(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                                 (5, 1)])))
+    size = draw(st.integers(1, 3))
+
+    def factor():
+        if draw(st.booleans()):
+            return constant_paraunitary(params, size, draw(st.integers(0, 2 ** 16)))
+        return delay_block(params, size, draw(st.integers(0, size - 1)), draw(st.integers(0, 3)))
+
+    matrix = factor()
+    if draw(st.booleans()):
+        matrix = compose(matrix, factor())
+    return paraunitary_adjoint(matrix) if draw(st.booleans()) else matrix
+
+
+@given(matrices(), st.data())
+def test_matrix_file_round_trip_is_exact(matrix, data):
+    obj = matrix.to_json()
+    assert json.dumps(obj) == json.dumps(per_mask_json(matrix))
+    # a file may give a zero entry any stride, and an entry of one
+    # coefficient any stride on the lattice q*N0
+    q = matrix.params.q
+    for row in obj["entries"]:
+        for entry in row:
+            if len(entry["coeffs"]) <= 1:
+                entry["stride"] = q ** data.draw(st.integers(1 if entry["coeffs"] else 0, 3))
+    text = json.dumps(obj)
+    loaded = Paraunitary.from_json(json.loads(text))
+    assert loaded.strides == tuple(entry["stride"] for row in obj["entries"] for entry in row)
+    assert loaded.coeffs.shape == matrix.coeffs.shape
+    assert np.array_equal(loaded.coeffs.view(np.int64), matrix.coeffs.view(np.int64))
+    assert json.dumps(loaded.to_json()) == text
+    assert json.dumps(per_mask_json(loaded)) == text

@@ -25,7 +25,6 @@ from framefield.mask import (
     eval_mask,
     from_spectrum,
     mask_values_at_digits,
-    masks_from_symbols,
     spectrum,
 )
 
@@ -202,10 +201,8 @@ def test_masks_from_symbols_inverts_grid_values(rng, p, c, lift):
     block = coefficient_block(params, masks, base)[0]
     symbols = _grid_transform(params, block, depth) * math.sqrt(q)
     strides = [m.stride for m in masks]
-    if lift == 0:
-        got_masks = masks_from_symbols(params, symbols, strides)
-    else:  # on the lattice q*N0, column k of the rows holds index q*k
-        got_masks = block_masks(params, coefficient_rows(params, symbols), strides, base)
+    # on the lattice base*N0, column k of the rows holds index base*k
+    got_masks = block_masks(params, coefficient_rows(params, symbols), strides, base)
     for got, want in zip(got_masks, masks):
         assert got.stride == want.stride and len(got) == len(want)
         assert np.abs(got.coeffs - want.coeffs).max(initial=0.0) <= 1e-13
