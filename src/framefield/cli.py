@@ -210,8 +210,6 @@ def _rejected(exc: ConstructionError, out: Path) -> int:
 def cmd_gen(args) -> int:
     from .construct import haar_bank
 
-    if args.kind != "haar":
-        raise ParameterError(f"unknown generator kind: {args.kind}")
     params = _field_params(args)
     bank = haar_bank(params)
     payload = bank.to_json(_deferred)
@@ -257,18 +255,19 @@ def cmd_verify(args) -> int:
 
 
 def _load_paraunitary(args, params, size: int, inputs: dict):
-    """The size x size matrix over ``params`` of ``--paraunitary`` (its hash
-    recorded in ``inputs``), rejected before any entry is read if it is of
-    another field or size, else the seeded one."""
+    """The matrix over ``params`` of ``--paraunitary`` (its hash recorded in
+    ``inputs``), rejected before any entry is read if it is of another field
+    or, unless ``size`` is 0, of another size; else the seeded size x size
+    matrix (2 x 2 for size 0)."""
     from .construct import Paraunitary, matrix_header, seeded_paraunitary
 
     if not args.paraunitary:
-        return seeded_paraunitary(params, size, args.seed)
+        return seeded_paraunitary(params, size or 2, args.seed)
     obj = _load_json(Path(args.paraunitary), inputs)
     file_params, file_size = matrix_header(obj)
     if file_params != params:
         raise ParameterError(f"{args.paraunitary} and the banks must share field parameters")
-    if file_size != size:
+    if size and file_size != size:
         raise ParameterError(f"paraunitary size {file_size} does not match required {size}")
     return Paraunitary.from_json(obj)
 
@@ -311,8 +310,7 @@ def cmd_family(args) -> int:
     inputs = {}
     bank = FilterBank.from_json(_load_json(bank_path, inputs))
     tol = _positive(args.tol, "tolerance")
-    size = args.size or 2
-    matrix = _load_paraunitary(args, bank.params, size, inputs)
+    matrix = _load_paraunitary(args, bank.params, args.size, inputs)
     try:
         families = orthogonal_family(bank, matrix)
     except ConstructionError as exc:
@@ -364,26 +362,20 @@ def cmd_experiment(args) -> int:
         mixed_frame_experiment,
         parseval_experiment,
         partition_of_unity_check,
-        partition_sums,
     )
 
     tol = _positive(args.tol, "tolerance")
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")
-    inputs = {}
-    if args.kind in ("parseval", "cascade", "partition"):
-        if not args.bank:
-            raise ParameterError(f"experiment {args.kind} needs --bank")
-        bank_path = Path(args.bank)
-        bank = FilterBank.from_json(_load_json(bank_path, inputs))
+    flag = "pair" if args.kind == "mixed" else "bank"
+    if not getattr(args, flag):
+        raise ParameterError(f"experiment {args.kind} needs --{flag}")
     if args.kind == "mixed":
-        if not args.pair:
-            raise ParameterError("experiment mixed needs --pair")
-        from .construct import FramePair
-
-        pair_path = Path(args.pair)
-        pair = FramePair.from_json(_load_json(pair_path, inputs))
-
+        from .construct import FramePair as source_type
+    else:
+        source_type = FilterBank
+    inputs = {}
+    source = source_type.from_json(_load_json(Path(getattr(args, flag)), inputs))
     config = {
         "kind": args.kind,
         "signal_size": args.signal_size,
@@ -397,36 +389,28 @@ def cmd_experiment(args) -> int:
     provenance = {"algorithm": f"experiment:{args.kind}", "inputs": inputs, "config": config}
 
     if args.kind in ("parseval", "mixed"):
-        sizes = (args.signal_size, args.levels, args.trials, tol, args.seed)
-        if args.kind == "parseval":
-            report, column = parseval_experiment(bank, *sizes), "deviation"
-        else:
-            report, column = mixed_frame_experiment(pair, *sizes), "ratio"
+        experiment, column = {"parseval": (parseval_experiment, "deviation"),
+                              "mixed": (mixed_frame_experiment, "ratio")}[args.kind]
+        report = experiment(source, args.signal_size, args.levels, args.trials, tol, args.seed)
         _write_csv(csv_path, ("trial", column), report.details["per_trial"])
-    elif args.kind == "cascade":
-        hat = cascade_phihat(bank.m0, args.levels, args.hat_neg, args.hat_pos)
-        _write_csv(csv_path, ("index", "re", "im"), hat.values)
-        payload = {
-            "kind": "cascade",
-            "stabilized_at": hat.stabilized_at,
-            "j_neg": hat.j_neg,
-            "j_pos": hat.j_pos,
-            "points": len(hat.values),
-            "provenance": provenance,
-        }
-        _write_json(out, payload)
-        print(f"cascade sampled on {len(hat.values)} points, stabilized at {hat.stabilized_at}")
-        return EXIT_OK
-    elif args.kind == "partition":
-        hat = cascade_phihat(bank.m0, args.levels, args.hat_neg, args.hat_pos)
-        translates = args.trials
-        report = partition_of_unity_check(hat, translates, tol)
-        sums = partition_sums(hat, translates)
+        return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
+    hat = cascade_phihat(source.m0, args.levels, args.hat_neg, args.hat_pos)
+    if args.kind == "partition":
+        report, sums = partition_of_unity_check(hat, args.trials, tol)
         _write_csv(csv_path, ("base_index", "sum"), sums)
-    else:
-        raise ParameterError(f"unknown experiment kind: {args.kind}")
-
-    return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
+        return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
+    _write_csv(csv_path, ("index", "re", "im"), hat.values)
+    payload = {
+        "kind": "cascade",
+        "stabilized_at": hat.stabilized_at,
+        "j_neg": hat.j_neg,
+        "j_pos": hat.j_pos,
+        "points": len(hat.values),
+        "provenance": provenance,
+    }
+    _write_json(out, payload)
+    print(f"cascade sampled on {len(hat.values)} points, stabilized at {hat.stabilized_at}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +456,29 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--bank", required=True)
     fam.add_argument("--paraunitary", default="")
     fam.add_argument("--seed", type=_seed, default=0)
-    fam.add_argument("--size", type=int, default=0)
+    fam.add_argument("--size", type=int, default=0,
+                     help="size of the seeded matrix (default: 2); a --paraunitary file "
+                     "has its own size, which an explicit --size must match")
     fam.add_argument("--depth", type=int, default=0)
     fam.add_argument("--tol", type=float, default=DEFAULT_MATRIX_TOL)
     fam.add_argument("--out-dir", default="family")
     fam.set_defaults(func=cmd_family)
 
-    exp = sub.add_parser("experiment", help="run a functional experiment")
+    exp = sub.add_parser("experiment", help="run a functional experiment",
+                         description="The default sizes suit parseval and mixed at q = 2 "
+                         "or 3; at larger q, lower --signal-size and --trials.  partition "
+                         "needs --trials of at most q**J for --hat-neg J.")
     exp.add_argument("--kind", required=True, choices=["parseval", "mixed", "cascade", "partition"])
-    exp.add_argument("--bank", default="")
-    exp.add_argument("--pair", default="")
+    exp.add_argument("--bank", default="", help="bank file, for parseval, cascade and partition")
+    exp.add_argument("--pair", default="", help="frame-pair file, for mixed")
     exp.add_argument("--signal-size", type=int, default=6, dest="signal_size", metavar="N",
                      help="each trial's signal has q**N samples (default: %(default)s)")
-    exp.add_argument("--levels", type=int, default=4)
-    exp.add_argument("--trials", type=int, default=20)
+    exp.add_argument("--levels", type=int, default=4,
+                     help="analysis levels for parseval and mixed, cascade iterations for "
+                     "cascade and partition (default: %(default)s)")
+    exp.add_argument("--trials", type=int, default=20,
+                     help="random signals for parseval and mixed, translates for partition "
+                     "(default: %(default)s)")
     exp.add_argument("--seed", type=_seed, default=0)
     exp.add_argument("--tol", type=float, default=DEFAULT_CASCADE_TOL)
     exp.add_argument("--hat-neg", type=int, default=2, dest="hat_neg", metavar="J",

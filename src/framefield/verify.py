@@ -189,11 +189,14 @@ def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
 
 def partition_of_unity_check(
     phihat: HatGrid, translates: int, tol: float = DEFAULT_CASCADE_TOL
-) -> CheckReport:
-    """max over the base grid of | sum_{k<K} |phihat(xi + u(k))|**2 - 1 |."""
-    dev = np.abs(partition_sums(phihat, translates) - 1.0)
+) -> tuple[CheckReport, np.ndarray]:
+    """max over the base grid of | sum_{k<K} |phihat(xi + u(k))|**2 - 1 |,
+    and the ``partition_sums`` it is taken over."""
+    sums = partition_sums(phihat, translates)
     details = {"translates": translates, "coverage_ball": phihat.params.q ** phihat.j_neg}
-    return make_report("partition_of_unity", phihat.j_pos, dev, tol, phihat.params, details)
+    report = make_report("partition_of_unity", phihat.j_pos, np.abs(sums - 1.0), tol,
+                         phihat.params, details)
+    return report, sums
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +272,37 @@ def random_signal(params: FieldParams, size_exponent: int, rng: np.random.Genera
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _trial_report(condition, per_trial, size_exponent, levels, seed, tol) -> CheckReport:
-    worst_trial = int(np.argmax(per_trial))
-    worst = float(per_trial[worst_trial])
-    details = {"levels": levels, "trials": len(per_trial), "seed": seed,
-               "worst_trial": worst_trial, "per_trial": per_trial}
-    return CheckReport(condition, size_exponent, worst, tol, bool(worst <= tol), None, details)
+def _analysis_cascade(v: np.ndarray, bank: FilterBank, levels: int):
+    """The branches of ``levels`` analysis steps, each after the first on
+    the scaling branch (row 0) of the one before."""
+    for _ in range(levels):
+        branches = analysis_step(v, bank)
+        yield branches
+        v = branches[0]
 
 
-def _require_sizes(size_exponent: int, levels: int, trials: int) -> None:
-    """Signal size, levels and trials must each be at least 1: below that
-    an experiment checks nothing."""
+def _random_signal_trials(condition, stream, banks, measure, size_exponent, levels, trials,
+                          tol, seed, enforce_precondition) -> CheckReport:
+    """The worst ``measure`` of ``trials`` random signals of q**size_exponent
+    samples from the generator seeded ``[stream, seed]``.  Sizes below 1
+    check nothing, and the (label, bank) pairs of ``banks`` must be tight
+    frames unless the precondition is waived."""
     for name, value in (("signal size", size_exponent), ("levels", levels), ("trials", trials)):
         if value < 1:
             raise ParameterError(f"{name} must be at least 1, got {value}")
+    if enforce_precondition:
+        for label, bank in banks:
+            require_tight(bank, label)
+    if levels >= size_exponent:
+        raise DepthError("levels must stay below the signal size exponent")
+    rng = np.random.default_rng([stream, seed])
+    params = banks[0][1].params
+    per_trial = [measure(random_signal(params, size_exponent, rng)) for _ in range(trials)]
+    worst_trial = int(np.argmax(per_trial))
+    worst = float(per_trial[worst_trial])
+    details = {"levels": levels, "trials": trials, "seed": seed,
+               "worst_trial": worst_trial, "per_trial": per_trial}
+    return CheckReport(condition, size_exponent, worst, tol, bool(worst <= tol), None, details)
 
 
 def parseval_experiment(
@@ -300,25 +320,16 @@ def parseval_experiment(
     Banks that fail the tight-frame precondition are rejected unless
     ``enforce_precondition`` is disabled to measure their energy drift.
     """
-    _require_sizes(size_exponent, levels, trials)
-    if enforce_precondition:
-        require_tight(bank, "input")
-    if levels >= size_exponent:
-        raise DepthError("levels must stay below the signal size exponent")
-    rng = np.random.default_rng([0x7E, seed])
-    per_trial = []
-    for _ in range(trials):
-        v = random_signal(bank.params, size_exponent, rng)
+    def drift(v):
         total = float(np.vdot(v, v).real)
         acc = 0.0
-        s = v
-        for _ in range(levels):
-            branches = analysis_step(s, bank)
-            s = branches[0]
+        for branches in _analysis_cascade(v, bank, levels):
             acc += float(np.sum(np.abs(branches[1:]) ** 2))
-        acc += float(np.vdot(s, s).real)
-        per_trial.append(abs(acc - total) / total)
-    return _trial_report("parseval", per_trial, size_exponent, levels, seed, tol)
+        acc += float(np.vdot(branches[0], branches[0]).real)  # the last scaling branch
+        return abs(acc - total) / total
+
+    return _random_signal_trials("parseval", 0x7E, [("input", bank)], drift, size_exponent,
+                                 levels, trials, tol, seed, enforce_precondition)
 
 
 def mixed_frame_experiment(
@@ -334,28 +345,16 @@ def mixed_frame_experiment(
     only the wavelet branches with the dual bank (the final scaling branch is
     dropped), and report max ||output|| / ||input|| over random signals.
     Orthogonal pairs give ratios at numerical zero."""
-    _require_sizes(size_exponent, levels, trials)
-    if enforce_precondition:
-        require_tight(pair.primal, "primal")
-        require_tight(pair.dual, "dual")
-    if levels >= size_exponent:
-        raise DepthError("levels must stay below the signal size exponent")
-    rng = np.random.default_rng([0x3D, seed])
-    per_trial = []
-    for _ in range(trials):
-        v = random_signal(pair.params, size_exponent, rng)
-        stack = []
-        s = v
-        for _ in range(levels):
-            branches = analysis_step(s, pair.primal)
-            s = branches[0]
-            stack.append(branches[1:])
-        r = np.zeros(len(s), dtype=np.complex128)
-        for wavelet_branches in reversed(stack):
-            merged = np.vstack([r[None, :], wavelet_branches])
-            r = synthesis_step(merged, pair.dual)
-        per_trial.append(float(np.linalg.norm(r) / np.linalg.norm(v)))
-    return _trial_report("mixed_frame", per_trial, size_exponent, levels, seed, tol)
+    def ratio(v):
+        stack = list(_analysis_cascade(v, pair.primal, levels))
+        r = np.zeros(stack[-1].shape[1], dtype=np.complex128)
+        for branches in reversed(stack):
+            r = synthesis_step(np.vstack([r[None, :], branches[1:]]), pair.dual)
+        return float(np.linalg.norm(r) / np.linalg.norm(v))
+
+    banks = [("primal", pair.primal), ("dual", pair.dual)]
+    return _random_signal_trials("mixed_frame", 0x3D, banks, ratio, size_exponent,
+                                 levels, trials, tol, seed, enforce_precondition)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_criterion_5_cascade_partition_telescoping():
     cascade_dev = float(np.abs(hat_d.values - 1.0).max())
     # partition of unity over q**2 translates
     hat = cascade_phihat(haar.m0, 10, j_neg=2, j_pos=3)
-    partition = partition_of_unity_check(hat, 4, tol=1e-12)
+    partition, _ = partition_of_unity_check(hat, 4, tol=1e-12)
     # telescoping: wavelet energy equals the scaling energy drop, 128 points
     wide = cascade_phihat(haar.m0, 12, j_neg=3, j_pos=4)
     telescope_dev = 0.0

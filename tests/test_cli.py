@@ -20,7 +20,13 @@ import pytest
 import framefield
 from framefield import galois
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
-from framefield.construct import derive_pair, haar_bank, orthogonal_family, seeded_paraunitary
+from framefield.construct import (
+    constant_paraunitary,
+    derive_pair,
+    haar_bank,
+    orthogonal_family,
+    seeded_paraunitary,
+)
 from framefield.galois import FieldParams
 from framefield.mask import FilterBank, mask_values_on_grid, zero_mask
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
@@ -51,6 +57,17 @@ def test_gen_haar(tmp_path):
     out3 = tmp_path / "haar3.json"
     assert run(["gen", "haar", "--p", 3, "--out", out3]) == 0
     assert len(load(out3)["masks"]) == 3
+
+
+def test_unknown_kinds_exit_2(tmp_path, capsys):
+    # argparse refuses them before any command runs
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    assert run(["gen", "daubechies", "--p", 2, "--out", tmp_path / "x.json"]) == 2
+    assert run(["experiment", "--kind", "energy", "--bank", bank,
+                "--out", tmp_path / "e.json"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "e.json").exists()
 
 
 def test_gen_rejects_nonprime(tmp_path):
@@ -435,6 +452,23 @@ def test_paraunitary_file_input(tmp_path, p2):
     assert str(pu) in load(out)["provenance"]["inputs"]
 
 
+def test_family_takes_its_size_from_the_paraunitary_file(tmp_path, p2, capsys):
+    # no --size: the file's header gives the size, and an explicit --size
+    # only has to agree with it
+    pu = tmp_path / "pu3.json"
+    pu.write_text(json.dumps(constant_paraunitary(p2, 3, seed=1).to_json()))
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    for extra, out_dir in (([], tmp_path / "fam"), (["--size", 3], tmp_path / "fam3")):
+        assert run(["family", "--bank", bank, "--paraunitary", pu, *extra,
+                    "--out-dir", out_dir]) == 0
+        assert len(list(out_dir.glob("family_*.json"))) == 3
+        assert load(out_dir / "reports.json")["provenance"]["config"]["size"] == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert canonical(load(tmp_path / "fam" / "family_2.json")) == canonical(
+        load(tmp_path / "fam3" / "family_2.json"))
+
+
 def test_paraunitary_file_of_another_field_is_input_error(tmp_path, capsys):
     # the matrix keeps the field its file names: GF(4) entries, of stride
     # 4 = 2**2, are not read as GF(2) masks and mixed into GF(2) banks
@@ -554,6 +588,29 @@ def test_experiment_cascade_and_partition(tmp_path):
     ])
     assert code == 0
     assert load(part)["reports"][0]["pass"] is True
+
+
+def test_partition_run_computes_its_sums_once(tmp_path, monkeypatch):
+    # the report and the CSV come from one partition_sums call
+    from framefield import verify
+
+    calls = []
+
+    def counted(phihat, translates):
+        calls.append(translates)
+        return partition_sums(phihat, translates)
+
+    monkeypatch.setattr(verify, "partition_sums", counted)
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 3, "--out", bank])
+    out = tmp_path / "part.json"
+    assert run(["experiment", "--kind", "partition", "--bank", bank, "--trials", 9,
+                "--out", out]) == 0
+    assert calls == [9]
+    sums = partition_sums(cascade_phihat(haar_bank(FieldParams(3, 1)).m0, 4), 9)
+    rows = (tmp_path / "part.csv").read_text().splitlines()
+    assert rows == ["base_index,sum", *(f"{i},{s!r}" for i, s in enumerate(sums.tolist()))]
+    assert load(out)["reports"][0]["max_deviation"] == float(np.abs(sums - 1.0).max())
 
 
 def _csv_writer_bytes(header, rows):

@@ -1,5 +1,7 @@
-"""The character transform against the definitional evaluation route."""
+"""The character transform against the definitional evaluation route, and
+its identities at fields past that route's reach."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 
 from framefield import kernels
 from framefield.construct import seeded_paraunitary
-from framefield.galois import FieldParams, field_tables
-from framefield.localfield import FieldElement, grid_point
+from framefield.galois import FieldParams, _is_irreducible, field_tables
+from framefield.localfield import FieldElement, grid_point, index_add
 from framefield.mask import (
     FilterBank,
     Mask,
@@ -271,3 +273,69 @@ def test_lifted_grid_values_match_eval_mask(rng, p, c):
                 x = FieldElement(params, lift, tuple((g // q ** i) % q for i in range(depth)))
                 for m, value in zip(on_lattice, values[:, g], strict=True):
                     assert abs(value - eval_mask(m, x)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# identities that need no per-point route, up to GF(1024)
+
+U = 2.0 ** -53  # unit roundoff of a double
+
+
+@st.composite
+def wide_fields(draw):
+    """GF(p^c) for p = 2 with c <= 10, p = 3 with c <= 6 and p = 5, 7 with
+    c <= 3, under the first irreducible monic modulus at or after a random
+    one in the order of their codes."""
+    p, top = draw(st.sampled_from([(2, 10), (3, 6), (5, 3), (7, 3)]), label="p")
+    c = draw(st.integers(1, top), label="c")
+    start = draw(st.integers(0, p ** c - 1), label="start")
+    for code in itertools.chain(range(start, p ** c), range(start)):
+        modulus = tuple(code // p ** i % p for i in range(c)) + (1,)
+        if _is_irreducible(modulus, p, c):
+            return FieldParams(p, c, modulus)
+    raise AssertionError(f"no irreducible modulus of degree {c} over GF({p})")
+
+
+@given(params=wide_fields())
+def test_character_factor_is_sqrt_q_times_unitary(params):
+    # F F* = qI: each entry sums n = q products of two roots of unity, each
+    # product within a few u of its value, so within 2n * (n u) of q or 0
+    n = params.q
+    factor = _character_factor.__wrapped__(params)  # not cached: up to 16 MB each
+    gram = factor @ np.conj(factor).T
+    assert np.abs(gram - n * np.eye(n)).max() <= 2 * n * (n * U)
+
+
+@given(params=wide_fields(), data=st.data())
+def test_character_factor_rows_multiply_as_characters(params, data):
+    # F[a (+) b] = F[a] o F[b] for the carry-free sum (+) of digit codes:
+    # each entry is n = 1 product of two rounded roots of unity, so within
+    # 16 n u of the rounded root it should equal
+    q = params.q
+    factor = _character_factor.__wrapped__(params)
+    codes = st.lists(st.integers(0, q - 1), min_size=8, max_size=8)
+    a, b = np.array(data.draw(codes, label="a")), np.array(data.draw(codes, label="b"))
+    total = [index_add(params, int(x), int(y)) for x, y in zip(a, b)]
+    assert np.abs(factor[total] - factor[a] * factor[b]).max() <= 16 * U
+
+
+@given(params=wide_fields(), data=st.data())
+def test_spectrum_round_trip_and_energy(params, data):
+    # over n = q**e points: from_spectrum(spectrum(x)) = x, and spectrum
+    # scales ||x||**2 by n; each value sums n terms through e stages, and
+    # both relative errors stay within 8 n u
+    q = params.q
+    e = data.draw(st.integers(1, 2 if q <= 64 else 1), label="e")
+    n = q ** e
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    energy = np.sum(np.abs(x) ** 2, axis=1)
+    try:
+        values = spectrum(params, x.copy())
+        scaled = np.sum(np.abs(values) ** 2, axis=1) / energy
+        back = from_spectrum(params, values)
+    finally:
+        _character_factor.cache_clear()  # one table of up to 16 MB per field drawn
+    assert np.abs(scaled / n - 1).max() <= 8 * n * U
+    error = np.linalg.norm(back - x, axis=1) / np.sqrt(energy)
+    assert error.max() <= 8 * n * U

@@ -88,18 +88,19 @@ def test_hat_grid_indexing(p2):
 
 def test_partition_haar(p2, haar2):
     hat = cascade_phihat(haar2.m0, 8, j_neg=2, j_pos=3)
-    report = partition_of_unity_check(hat, 4, tol=1e-12)
+    report, sums = partition_of_unity_check(hat, 4, tol=1e-12)
     assert report.passed
     assert report.details["translates"] == 4
+    assert np.array_equal(sums, partition_sums(hat, 4))
     # only the k = 0 term contributes for the indicator scaling function
-    single = partition_of_unity_check(hat, 1, tol=1e-12)
+    single, _ = partition_of_unity_check(hat, 1, tol=1e-12)
     assert single.passed
 
 
 def test_partition_doubled_fails(p2, haar2):
     hat = cascade_phihat(haar2.m0, 8, j_neg=2, j_pos=3)
     doubled = HatGrid(p2, 2, 3, 2.0 * hat.values)
-    report = partition_of_unity_check(doubled, 4)
+    report, _ = partition_of_unity_check(doubled, 4)
     assert not report.passed
     assert report.max_deviation == pytest.approx(3.0, abs=1e-12)
 
