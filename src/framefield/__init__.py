@@ -7,11 +7,13 @@ identities hold exactly.
 
 Modules
 -------
-galois      exact GF(p^c) digit arithmetic
-localfield  field elements, the coset map u(n), characters, grids
-mask        masks, modulation/polyphase matrices, condition checkers
+galois      residue-field parameters and the field state of the kernels
+localfield  field elements, the index group of u(n), grids
+mask        masks, grid evaluation, condition checkers
 construct   canonical banks, paraunitary matrices, pair/family algorithms
 verify      cascade, discrete transforms, Parseval/orthogonality experiments
+reference   the per-point reference route: exact arithmetic, characters,
+            mask values and matrices at one point; no command imports it
 cli         the ``framefield`` command-line tool
 """
 
@@ -20,19 +22,11 @@ from importlib import import_module
 # public name -> the module that defines it; a name's module is imported on
 # first access, so a command imports only the modules it runs
 _EXPORTS = {
+    "FieldParams": "galois",
+    **dict.fromkeys(("FieldElement", "index_add", "index_sub"), "localfield"),
     **dict.fromkeys(
-        ("FieldParams", "GFElem", "gf_add", "gf_from_digit", "gf_mul", "gf_proj0", "gf_to_digit"),
-        "galois",
-    ),
-    **dict.fromkeys(
-        ("FieldElement", "chi", "chi_n", "grid", "index_add", "index_sub", "lf_add", "lf_mul",
-         "u_map"),
-        "localfield",
-    ),
-    **dict.fromkeys(
-        ("CheckReport", "FilterBank", "Mask", "MatrixSample", "check_mixed_orthogonality",
-         "check_polyphase_unitary", "check_subqmf", "check_uep", "eval_mask", "mask_mul",
-         "modulation_matrix", "polyphase_matrix", "polyphase_split"),
+        ("CheckReport", "FilterBank", "Mask", "check_mixed_orthogonality",
+         "check_polyphase_unitary", "check_subqmf", "check_uep", "mask_mul"),
         "mask",
     ),
     **dict.fromkeys(
@@ -45,6 +39,12 @@ _EXPORTS = {
          "multiplier_orthogonality_check", "parseval_experiment", "partition_of_unity_check",
          "synthesis_step"),
         "verify",
+    ),
+    **dict.fromkeys(
+        ("GFElem", "MatrixSample", "chi", "chi_n", "eval_mask", "gf_add", "gf_from_digit",
+         "gf_mul", "gf_proj0", "gf_to_digit", "grid", "lf_add", "lf_mul", "modulation_matrix",
+         "polyphase_matrix", "polyphase_split", "u_map"),
+        "reference",
     ),
 }
 __all__ = list(_EXPORTS)

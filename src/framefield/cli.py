@@ -55,6 +55,9 @@ EXIT_RESOURCE_ERROR = 3
 # data lines per block of a CSV file: the formatting temporaries stay at a
 # few hundred kB whatever the length of the series
 CSV_BLOCK = 2 ** 12
+# random signals for parseval and mixed, and translates for partition, when
+# --trials is not given; partition caps it at the q**J points of its ball
+DEFAULT_TRIALS = 20
 
 
 def _now() -> str:
@@ -376,11 +379,12 @@ def cmd_experiment(args) -> int:
         source_type = FilterBank
     inputs = {}
     source = source_type.from_json(_load_json(Path(getattr(args, flag)), inputs))
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     config = {
         "kind": args.kind,
         "signal_size": args.signal_size,
         "levels": args.levels,
-        "trials": args.trials,
+        "trials": trials,
         "seed": args.seed,
         "tol": tol,
         "hat_neg": args.hat_neg,
@@ -391,12 +395,14 @@ def cmd_experiment(args) -> int:
     if args.kind in ("parseval", "mixed"):
         experiment, column = {"parseval": (parseval_experiment, "deviation"),
                               "mixed": (mixed_frame_experiment, "ratio")}[args.kind]
-        report = experiment(source, args.signal_size, args.levels, args.trials, tol, args.seed)
+        report = experiment(source, args.signal_size, args.levels, trials, tol, args.seed)
         _write_csv(csv_path, ("trial", column), report.details["per_trial"])
         return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
     hat = cascade_phihat(source.m0, args.levels, args.hat_neg, args.hat_pos)
     if args.kind == "partition":
-        report, sums = partition_of_unity_check(hat, args.trials, tol)
+        if args.trials is None:
+            config["trials"] = trials = min(trials, hat.params.q ** hat.j_neg)
+        report, sums = partition_of_unity_check(hat, trials, tol)
         _write_csv(csv_path, ("base_index", "sum"), sums)
         return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
     _write_csv(csv_path, ("index", "re", "im"), hat.values)
@@ -467,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a functional experiment",
                          description="The default sizes suit parseval and mixed at q = 2 "
                          "or 3; at larger q, lower --signal-size and --trials.  partition "
-                         "needs --trials of at most q**J for --hat-neg J.")
+                         f"takes {DEFAULT_TRIALS} translates by default, capped at q**J for "
+                         "--hat-neg J; an explicit --trials must be at most q**J.")
     exp.add_argument("--kind", required=True, choices=["parseval", "mixed", "cascade", "partition"])
     exp.add_argument("--bank", default="", help="bank file, for parseval, cascade and partition")
     exp.add_argument("--pair", default="", help="frame-pair file, for mixed")
@@ -476,9 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--levels", type=int, default=4,
                      help="analysis levels for parseval and mixed, cascade iterations for "
                      "cascade and partition (default: %(default)s)")
-    exp.add_argument("--trials", type=int, default=20,
-                     help="random signals for parseval and mixed, translates for partition "
-                     "(default: %(default)s)")
+    exp.add_argument("--trials", type=int, default=None,
+                     help=f"random signals for parseval and mixed (default: {DEFAULT_TRIALS}), "
+                     f"translates for partition (default: {DEFAULT_TRIALS}, capped at q**J "
+                     "for --hat-neg J)")
     exp.add_argument("--seed", type=_seed, default=0)
     exp.add_argument("--tol", type=float, default=DEFAULT_CASCADE_TOL)
     exp.add_argument("--hat-neg", type=int, default=2, dest="hat_neg", metavar="J",

@@ -1,19 +1,15 @@
-"""Exact arithmetic in the residue field GF(q), q = p^c.
+"""The residue field GF(q), q = p^c: its parameters and its field state.
 
 Elements are digit vectors over the polynomial basis {1, z, ..., z^(c-1)}
 with z a root of a monic irreducible modulus polynomial over GF(p).
 Every element also has an integer code d = a0 + a1*p + ... + a_{c-1}*p^(c-1)
-in [0, q); ``gf_from_digit`` / ``gf_to_digit`` convert between the two.
+in [0, q).
 
-Multiplication reduces the product polynomial naively mod the modulus and
-mod p; at the scales this package targets (q <= a few thousand) this is
-fast and easy to audit.  Sums of elements are carry-free base-p sums of
-their codes.  The characters see a product only through proj0(a*b) =
-a^T M b mod p, and ``field_tables`` returns that c-by-c Hankel form M: the
-field state of the numeric kernels.  ``log_tables``, the discrete
-logarithm, serves only the per-point reference route.
+Sums of elements are carry-free base-p sums of their codes.  The
+characters see a product only through proj0(a*b) = a^T M b mod p, and
+``field_tables`` returns that c-by-c Hankel form M: the field state of the
+numeric kernels.
 """
-
 from __future__ import annotations
 
 import functools
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError, SizeError
+from .errors import ParameterError, SizeError
 
 # Monic irreducible moduli, (p, c) -> coefficient tuple (a0, ..., ac) with ac = 1.
 # Users may override via FieldParams(modulus=...).
@@ -153,106 +149,6 @@ class FieldParams:
             return cls(p=int(obj["p"]), c=int(obj["c"]), modulus=tuple(obj.get("modulus", ())))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad field parameters: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class GFElem:
-    """An element of GF(q) as its coordinate vector in the polynomial basis."""
-
-    params: FieldParams
-    coords: tuple
-
-    def __post_init__(self):
-        coords = tuple(int(a) for a in self.coords)
-        if len(coords) != self.params.c:
-            raise ParameterError(f"expected {self.params.c} coordinates, got {len(coords)}")
-        if any(not (0 <= a < self.params.p) for a in coords):
-            raise ParameterError("coordinates must lie in [0, p)")
-        object.__setattr__(self, "coords", coords)
-
-    def __add__(self, other):
-        return gf_add(self, other)
-
-    def __mul__(self, other):
-        return gf_mul(self, other)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-
-def _check_shared(a: GFElem, b: GFElem):
-    if a.params != b.params:
-        raise ParameterError("operands belong to different fields")
-
-
-def gf_one(params: FieldParams) -> GFElem:
-    return GFElem(params, (1,) + (0,) * (params.c - 1))
-
-
-def gf_add(a: GFElem, b: GFElem) -> GFElem:
-    """Component-wise sum mod p."""
-    _check_shared(a, b)
-    p = a.params.p
-    return GFElem(a.params, tuple((x + y) % p for x, y in zip(a.coords, b.coords)))
-
-
-def gf_mul(a: GFElem, b: GFElem) -> GFElem:
-    """Product of representing polynomials, reduced mod the modulus and mod p."""
-    _check_shared(a, b)
-    p, c = a.params.p, a.params.c
-    prod = [0] * (2 * c - 1)
-    for i, x in enumerate(a.coords):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coords):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    rem = _poly_rem(prod, a.params.modulus, p)
-    rem += [0] * (c - len(rem))
-    return GFElem(a.params, tuple(rem))
-
-
-def gf_proj0(a: GFElem) -> int:
-    """Coordinate along the basis element 1 (the only one the character sees)."""
-    return a.coords[0]
-
-
-def gf_from_digit(params: FieldParams, d: int) -> GFElem:
-    """p-ary digit vector of d, for d in [0, q)."""
-    if not (0 <= d < params.q):
-        raise RangeError(f"digit {d} out of range [0, {params.q})")
-    p = params.p
-    return GFElem(params, tuple((d // p ** i) % p for i in range(params.c)))
-
-
-def gf_to_digit(a: GFElem) -> int:
-    p = a.params.p
-    return sum(x * p ** i for i, x in enumerate(a.coords))
-
-
-def _primitive_powers(params: FieldParams) -> list:
-    """Codes of g**0, ..., g**(q-2) for the primitive element g of smallest code."""
-    one = gf_one(params)
-    for code in range(1, params.q):
-        g = gf_from_digit(params, code)
-        powers = [1]
-        x = g
-        while x != one:
-            powers.append(gf_to_digit(x))
-            x = gf_mul(x, g)
-        if len(powers) == params.q - 1:
-            return powers
-    raise ParameterError("no primitive element found; field parameters are inconsistent")
-
-
-@functools.lru_cache(maxsize=None)
-def log_tables(params: FieldParams) -> tuple:
-    """Lists exp[k] = g**k and log[g**k] = k for the primitive element g:
-    a*b = exp[(log a + log b) mod (q-1)] for nonzero codes a and b."""
-    exp = _primitive_powers(params)
-    log = [0] * params.q
-    for k, code in enumerate(exp):
-        log[code] = k
-    return exp, log
 
 
 @functools.lru_cache(maxsize=None)

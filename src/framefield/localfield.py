@@ -1,17 +1,17 @@
-"""The local field K = GF(q)((t)) with prime element t, and its character theory.
+"""The local field K = GF(q)((t)) with prime element t: its elements, the
+index group of the coset representatives u(n), and its grids.
 
 Elements are finite Laurent polynomials in the prime element: a valuation
 offset ``v`` plus a tuple of GF(q) digit codes, digit i sitting at power
-v + i.  Every point the algorithms touch (coset representatives u(n), grid
-points, their sums and products) has finite support, so all arithmetic here
-is exact.
+v + i.  Every point a sweep reports (a grid point, a hat point) has finite
+support.  u(n) puts base-q digit i of n at power -(i+1), and
+u(m) + u(n) = u(index_add(m, n)) under the carry-free index group law.
 
 The additive character chi is pinned to: chi(x) = exp(2*pi*i * a / p) where
 a is the 1-coordinate of the digit of x at power -1.  It is trivial on the
 ring of integers and nontrivial one level below, and chi_n(x) = chi(u(n) x)
 are the generalized Walsh characters.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, SizeError
-from .galois import FieldParams, log_tables
-from .kernels import root_table
+from .galois import FieldParams
 
 MAX_GRID_POINTS = 1 << 22
 
@@ -62,9 +61,13 @@ class FieldElement:
         return float(self.params.q) ** (-self.v)
 
     def __add__(self, other):
+        from .reference import lf_add
+
         return lf_add(self, other)
 
     def __mul__(self, other):
+        from .reference import lf_mul
+
         return lf_mul(self, other)
 
     def digit_at(self, power: int) -> int:
@@ -99,20 +102,6 @@ class FieldElement:
             raise ParameterError(f"bad field element: {exc}") from exc
 
 
-def fe_zero(params: FieldParams) -> FieldElement:
-    return FieldElement(params, 0, ())
-
-
-def fe_prime_power(params: FieldParams, j: int, digit: int = 1) -> FieldElement:
-    """digit * t^j."""
-    return FieldElement(params, j, (digit,))
-
-
-def _check_shared(x: FieldElement, y: FieldElement):
-    if x.params != y.params:
-        raise ParameterError("operands belong to different fields")
-
-
 def _carry_free(p: int, m: int, n: int, sign: int = 1) -> int:
     """Base-p digit-wise m + sign*n mod p: the sum or difference of digit
     codes (whose base-p digits are coordinates) and of indices alike."""
@@ -127,50 +116,6 @@ def _carry_free(p: int, m: int, n: int, sign: int = 1) -> int:
     return out
 
 
-def lf_add(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Digit-wise GF(q) addition after aligning valuations."""
-    _check_shared(x, y)
-    if x.is_zero():
-        return y
-    if y.is_zero():
-        return x
-    p = x.params.p
-    lo = min(x.v, y.v)
-    hi = max(x.v + len(x.digits), y.v + len(y.digits))
-    digits = [_carry_free(p, x.digit_at(j), y.digit_at(j)) for j in range(lo, hi)]
-    return FieldElement(x.params, lo, tuple(digits))
-
-
-def lf_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Cauchy product of the digit sequences; val(xy) = val(x) + val(y)."""
-    _check_shared(x, y)
-    if x.is_zero() or y.is_zero():
-        return fe_zero(x.params)
-    p, order = x.params.p, x.params.q - 1
-    exp, log = log_tables(x.params)
-    out = [0] * (len(x.digits) + len(y.digits) - 1)
-    for i, a in enumerate(x.digits):
-        if a == 0:
-            continue
-        for j, b in enumerate(y.digits):
-            if b:
-                out[i + j] = _carry_free(p, out[i + j], exp[(log[a] + log[b]) % order])
-    result = FieldElement(x.params, x.v + y.v, tuple(out))
-    assert result.v == x.v + y.v, "leading digits of a field product cannot cancel"
-    return result
-
-
-def u_map(params: FieldParams, n: int) -> FieldElement:
-    """Coset representative u(n): base-q digit b_i of n lands at power -(i+1)."""
-    if n < 0:
-        raise RangeError("u(n) is defined for non-negative n")
-    digits = []
-    while n:
-        n, b = divmod(n, params.q)
-        digits.append(b)
-    return FieldElement(params, -len(digits), tuple(reversed(digits)))
-
-
 def index_add(params: FieldParams, m: int, n: int) -> int:
     """Carry-free index group law: u(m) + u(n) = u(index_add(m, n))."""
     return _carry_free(params.p, m, n)
@@ -179,17 +124,6 @@ def index_add(params: FieldParams, m: int, n: int) -> int:
 def index_sub(params: FieldParams, m: int, n: int) -> int:
     """Inverse of index_add: index_sub(index_add(m, n), n) = m."""
     return _carry_free(params.p, m, n, -1)
-
-
-def chi(x: FieldElement) -> complex:
-    """The fixed additive character: reads only the digit at power -1."""
-    p = x.params.p
-    return complex(root_table(p)[x.digit_at(-1) % p])
-
-
-def chi_n(n: int, xi: FieldElement) -> complex:
-    """Generalized Walsh character chi(u(n) * xi)."""
-    return chi(lf_mul(u_map(xi.params, n), xi))
 
 
 def check_grid_points(q: int, depth: int):
@@ -221,9 +155,3 @@ def grid_point(params: FieldParams, depth: int, g: int) -> FieldElement:
         g, d = divmod(g, params.q)
         digits.append(d)
     return FieldElement(params, 0, tuple(digits))
-
-
-def grid(params: FieldParams, depth: int) -> list:
-    """All q^s coset representatives of B^s in D, in enumeration order."""
-    check_grid_points(params.q, depth)
-    return [grid_point(params, depth, g) for g in range(params.q ** depth)]

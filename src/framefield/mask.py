@@ -1,4 +1,4 @@
-"""Framelet symbols (masks), modulation and polyphase matrices, and the
+"""Framelet symbols (masks), their values on whole grids, and the
 grid-sweep checkers that certify tight-frame and orthogonality conditions.
 
 A mask with coefficients h_k and stride t evaluates as
@@ -10,8 +10,9 @@ below q^s.  Sweeping the depth-s grid therefore checks the defining matrix
 identities exactly on all of the ring of integers, not just on samples.
 
 Stride-q masks serve as "integral periodic" symbols (polyphase components,
-paraunitary entries).  Their symbol value carries no q**-0.5 factor; use
-``eval_symbol`` for that convention.
+paraunitary entries).  Their symbol value carries no q**-0.5 factor.  The
+per-point values and matrices of the same definitions are in
+:mod:`framefield.reference`.
 """
 
 from __future__ import annotations
@@ -26,17 +27,7 @@ import numpy as np
 from . import kernels
 from .errors import ConstructionError, DepthError, ParameterError, SizeError
 from .galois import FieldParams, field_tables
-from .localfield import (
-    MAX_GRID_POINTS,
-    FieldElement,
-    check_grid_points,
-    chi_n,
-    fe_prime_power,
-    grid_point,
-    lf_add,
-    lf_mul,
-    u_map,
-)
+from .localfield import MAX_GRID_POINTS, FieldElement, check_grid_points, grid_point
 
 DEFAULT_MATRIX_TOL = 1e-10
 DEFAULT_CASCADE_TOL = 1e-8
@@ -46,6 +37,9 @@ TRIM_CUTOFF = 1e-14
 # columns and the Grams), and entries per block of the character factor's
 # exponents: a few hundred kB whatever the grid
 GRAM_BLOCK = 2 ** 14
+# character factors kept at once: a command uses one field, and a caller
+# that sweeps fields holds at most this many q-by-q tables (16 MB at GF(1024))
+FACTOR_CACHE = 4
 
 
 def _check_stride(stride: int, q: int) -> None:
@@ -293,15 +287,6 @@ class FilterBank(CoefficientBlock):
 
 
 @dataclass(frozen=True)
-class MatrixSample:
-    """A modulation or polyphase matrix evaluated at one point."""
-
-    point: FieldElement
-    entries: np.ndarray
-    kind: str
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification sweep."""
 
@@ -351,29 +336,7 @@ def make_report(condition, depth, deviations, tol, params, details=None, spacing
 # evaluation
 
 
-def eval_mask(m: Mask, xi: FieldElement) -> complex:
-    """Exact single-point evaluation through the character definition.
-
-    This is the reference route: each term goes through u(n), lf_mul and chi
-    on exact field elements, independently of the table-driven grid kernels.
-    """
-    if m.params != xi.params:
-        raise ParameterError("mask and point belong to different fields")
-    q = m.params.q
-    total = 0.0 + 0.0j
-    for slot, h in enumerate(m.coeffs):
-        if h == 0:
-            continue
-        total += h * np.conj(chi_n(slot * m.stride, xi))
-    return complex(total / math.sqrt(q))
-
-
-def eval_symbol(m: Mask, xi: FieldElement) -> complex:
-    """Symbol-convention value of a stride-q mask (no q**-0.5 prefactor)."""
-    return complex(math.sqrt(m.params.q) * eval_mask(m, xi))
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FACTOR_CACHE)
 def _character_factor(params: FieldParams) -> np.ndarray:
     """F[a, x] = conj chi(t * u(a) * u(x)), the one-digit factor of every
     character value: conj chi_j(xi) = prod_d F[j_d, xi_d] over the base-q
@@ -520,27 +483,7 @@ def trim_mask(m: Mask, cutoff: float = TRIM_CUTOFF) -> Mask:
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-def modulation_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
-    """(L+1) x q matrix of mask values at the q shifts xi + t*u(k)."""
-    params = bank.params
-    shifts = [lf_add(xi, lf_mul(fe_prime_power(params, 1), u_map(params, k))) for k in range(params.q)]
-    entries = np.array(
-        [[eval_mask(m, s) for s in shifts] for m in bank.masks], dtype=np.complex128
-    )
-    return MatrixSample(point=xi, entries=entries, kind="modulation")
-
-
-def polyphase_split(m: Mask) -> list:
-    """The q sub-masks on the residue classes n = r (mod q), reindexed by
-    (n - r)/q; returned as stride-q masks holding the raw coefficients of
-    the mask's stride-1 block row.
-    """
-    q = m.params.q
-    row = coefficient_block(m.params, [m])[0][0]
-    return [Mask(m.params, row[r::q], stride=q) for r in range(q)]
+# the polyphase table
 
 
 def polyphase_symbols(bank: FilterBank) -> np.ndarray:
@@ -553,16 +496,6 @@ def polyphase_symbols(bank: FilterBank) -> np.ndarray:
     rows = _fold(bank.coeffs, q).transpose(0, 2, 1).reshape(len(bank.coeffs) * q, -1)
     values = _grid_transform(bank.params, rows, bank.depth() - 1)
     return (values * math.sqrt(q)).reshape(len(bank.coeffs), q, -1)
-
-
-def polyphase_matrix(bank: FilterBank, xi: FieldElement) -> MatrixSample:
-    """q x (L+1) matrix of polyphase-component symbol values at xi."""
-    comps = [polyphase_split(m) for m in bank.masks]
-    entries = np.array(
-        [[eval_symbol(comps[l][r], xi) for l in range(len(bank.masks))] for r in range(bank.params.q)],
-        dtype=np.complex128,
-    )
-    return MatrixSample(point=xi, entries=entries, kind="polyphase")
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +635,13 @@ def _cross_deviation(cross: np.ndarray) -> np.ndarray:
     cross = np.abs(cross)
     diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
     return np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None])
+
+
+def __getattr__(name: str):
+    # perfbench/checks.py imports these two reference-route names from here;
+    # they resolve from ``reference`` on first access, and no other name does
+    if name in ("modulation_matrix", "polyphase_matrix"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,9 +9,10 @@ import numpy as np
 
 from framefield.construct import _seeded_unitary
 from framefield.errors import ParameterError
-from framefield.galois import FieldParams, GFElem, gf_from_digit, gf_mul, gf_one
-from framefield.localfield import FieldElement, index_add, index_sub, lf_mul
+from framefield.galois import FieldParams
+from framefield.localfield import FieldElement, index_add, index_sub
 from framefield.mask import FilterBank, Mask
+from framefield.reference import GFElem, gf_from_digit, gf_mul, gf_one, lf_mul
 
 
 def random_bank(

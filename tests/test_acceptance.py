@@ -19,19 +19,18 @@ from framefield.construct import (
     seeded_paraunitary,
 )
 from framefield.galois import FieldParams
-from framefield.localfield import FieldElement, chi, lf_add, lf_mul, u_map, index_add
+from framefield.localfield import FieldElement, index_add
 from framefield.mask import check_mixed_orthogonality, check_polyphase_unitary, check_uep
 from framefield.verify import (
     analysis_step,
     cascade_phihat,
-    cascade_value,
     mixed_frame_experiment,
     parseval_experiment,
     partition_of_unity_check,
     random_signal,
     synthesis_step,
 )
-from framefield.mask import eval_mask
+from framefield.reference import cascade_value, chi, eval_mask, lf_add, lf_mul, u_map
 
 from helpers import code_tables, random_bank
 

@@ -7,10 +7,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from framefield import mask
+from framefield import reference
 from framefield.galois import FieldParams
 from framefield.localfield import grid_point
-from framefield.mask import FilterBank, Mask, _grid_transform, block_masks, eval_mask
+from framefield.mask import FilterBank, Mask, _grid_transform, block_masks
+from framefield.reference import eval_mask
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 SPECIAL = [-0.0, 5e-324, -5e-324, 2.2e-310, 1e308, -1e308]
@@ -82,6 +83,6 @@ def test_bank_load_does_not_evaluate_through_the_reference_route(monkeypatch, ha
     def refuse(*args):
         raise AssertionError("eval_mask called")
 
-    monkeypatch.setattr(mask, "eval_mask", refuse)
+    monkeypatch.setattr(reference, "eval_mask", refuse)
     bank = FilterBank.from_json(haar3.to_json())
     assert bank.n_wavelets == 2

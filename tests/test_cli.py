@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import framefield
-from framefield import galois
+from framefield import galois, reference
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
 from framefield.construct import (
     constant_paraunitary,
@@ -104,7 +104,7 @@ def test_commands_search_no_discrete_log(tmp_path, monkeypatch, p, c):
     def refuse(params):
         raise RuntimeError("discrete-log search on the CLI path")
 
-    monkeypatch.setattr(galois, "_primitive_powers", refuse)
+    monkeypatch.setattr(reference, "_primitive_powers", refuse)
     _clear_field_caches()
     bank, pair = tmp_path / "bank.json", tmp_path / "pair.json"
     signal = ["--signal-size", 3, "--levels", 2, "--trials", 4]
@@ -613,6 +613,24 @@ def test_partition_run_computes_its_sums_once(tmp_path, monkeypatch):
     assert load(out)["reports"][0]["max_deviation"] == float(np.abs(sums - 1.0).max())
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_partition_default_translates_fit_the_ball(tmp_path, capsys, p):
+    # 20 translates, capped at the q**2 points of the default --hat-neg 2
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", p, "--out", bank])
+    out = tmp_path / "part.json"
+    assert run(["experiment", "--kind", "partition", "--bank", bank, "--out", out]) == 0
+    assert len((tmp_path / "part.csv").read_text().splitlines()) == p ** 3 + 1
+    obj = load(out)
+    assert obj["provenance"]["config"]["trials"] == min(20, p ** 2)
+    assert obj["reports"][0]["details"]["translates"] == min(20, p ** 2)
+    # an explicit count past the ball is still refused
+    past = max(20, p ** 2 + 1)
+    assert run(["experiment", "--kind", "partition", "--bank", bank, "--trials", past,
+                "--out", tmp_path / "past.json"]) == 3
+    assert f"{past} translates exceed the coverage ball" in capsys.readouterr().err
+
+
 def _csv_writer_bytes(header, rows):
     text = io.StringIO(newline="")
     writer = csv.writer(text)
@@ -879,6 +897,38 @@ def test_experiments_run_without_the_construction_module(tmp_path):
         "from framefield.cli import main",
         f"assert main({args!r}) == 0",
         "assert 'framefield.construct' not in sys.modules, 'cascade'",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_command_loads_the_reference_route(tmp_path):
+    # the per-point oracle serves the tests and the benchmark's spot checks;
+    # every command and check runs on the grid routes alone
+    bank, pair, fam = (str(tmp_path / name) for name in ("bank.json", "pair.json", "fam"))
+    signal = ["--signal-size", "3", "--levels", "2", "--trials", "4"]
+    commands = [
+        ["gen", "haar", "--p", "3", "--out", bank],
+        ["pair", "--primal", bank, "--dual", bank, "--seed", "5", "--out", pair],
+        ["family", "--bank", bank, "--seed", "3", "--size", "2", "--out-dir", fam],
+        ["verify", f"{fam}/family_1.json", "--dual", f"{fam}/family_2.json",
+         "--checks", "uep,subqmf,polyphase,mixed", "--out", str(tmp_path / "report.json")],
+        ["experiment", "--kind", "parseval", "--bank", bank, *signal,
+         "--out", str(tmp_path / "parseval.json")],
+        ["experiment", "--kind", "mixed", "--pair", pair, *signal,
+         "--out", str(tmp_path / "mixed.json")],
+        ["experiment", "--kind", "cascade", "--bank", bank, "--out", str(tmp_path / "c.json")],
+        ["experiment", "--kind", "partition", "--bank", bank, "--out", str(tmp_path / "p.json")],
+    ]
+    script = "\n".join([
+        "import sys",
+        "from framefield.cli import main",
+        "assert 'framefield.reference' not in sys.modules, 'import'",
+        f"for args in {commands!r}:",
+        "    assert main(args) == 0, args",
+        "    assert 'framefield.reference' not in sys.modules, args",
+        "import framefield.reference",
     ])
     done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120)

@@ -11,17 +11,21 @@ from framefield.errors import ParameterError, RangeError, SizeError
 from framefield.galois import (
     DEFAULT_MODULI,
     FieldParams,
-    GFElem,
     _is_irreducible,
     field_tables,
+)
+from framefield.localfield import FieldElement, index_add, index_sub
+from framefield.reference import (
+    GFElem,
     gf_add,
     gf_from_digit,
     gf_mul,
     gf_one,
     gf_proj0,
     gf_to_digit,
+    lf_add,
+    lf_mul,
 )
-from framefield.localfield import FieldElement, index_add, index_sub, lf_add, lf_mul
 
 from helpers import code_tables, gf_inv, gf_neg, gf_zero
 

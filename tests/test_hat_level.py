@@ -19,18 +19,17 @@ from hypothesis import strategies as st
 from framefield.construct import FramePair
 from framefield.errors import ParameterError
 from framefield.galois import FieldParams
-from framefield.localfield import FieldElement, grid_digits, grid_point, lf_add, u_map
+from framefield.localfield import FieldElement, grid_digits, grid_point
 from framefield.mask import (
     FilterBank,
     covering_depth,
-    eval_mask,
     mask_values_on_grid,
 )
+from framefield.reference import cascade_value, eval_mask, lf_add, u_map
 from framefield.verify import (
     CASCADE_BLOCK,
     HatGrid,
     cascade_phihat,
-    cascade_value,
     constant_hat,
     multiplier_orthogonality_check,
     partition_sums,

@@ -15,6 +15,7 @@ from framefield.construct import seeded_paraunitary
 from framefield.galois import FieldParams, _is_irreducible, field_tables
 from framefield.localfield import FieldElement, grid_point, index_add
 from framefield.mask import (
+    FACTOR_CACHE,
     FilterBank,
     Mask,
     _character_factor,
@@ -24,11 +25,11 @@ from framefield.mask import (
     coefficient_block,
     coefficient_rows,
     covering_depth,
-    eval_mask,
     from_spectrum,
     mask_values_at_digits,
     spectrum,
 )
+from framefield.reference import eval_mask
 
 from helpers import reference_character_transform
 
@@ -78,6 +79,19 @@ def test_character_factor_peaks_at_one_and_a_half_times_its_size():
         tracemalloc.stop()
     assert factor.nbytes == 16 * 2 ** 20
     assert peak <= 24 * 2 ** 20, peak
+
+
+def test_character_factor_cache_is_bounded():
+    # a caller that sweeps fields keeps at most FACTOR_CACHE q-by-q tables
+    fields = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+    assert len(fields) > FACTOR_CACHE
+    _character_factor.cache_clear()
+    try:
+        for field in fields:
+            _character_factor(FieldParams(*field))
+        assert _character_factor.cache_info().currsize == FACTOR_CACHE
+    finally:
+        _character_factor.cache_clear()
 
 
 # field of each q the in-place property runs on

@@ -5,20 +5,8 @@ import pytest
 
 from framefield.errors import ParameterError, SizeError
 from framefield.galois import FieldParams
-from framefield.localfield import (
-    FieldElement,
-    chi,
-    chi_n,
-    fe_prime_power,
-    fe_zero,
-    grid,
-    grid_point,
-    index_add,
-    index_sub,
-    lf_add,
-    lf_mul,
-    u_map,
-)
+from framefield.localfield import FieldElement, grid_point, index_add, index_sub
+from framefield.reference import chi, chi_n, fe_prime_power, fe_zero, grid, lf_add, lf_mul, u_map
 
 from helpers import fe_one
 

@@ -9,17 +9,7 @@ import pytest
 from framefield.construct import haar_bank
 from framefield.errors import DepthError, ParameterError, SizeError
 from framefield.galois import FieldParams
-from framefield.localfield import (
-    chi_n,
-    fe_prime_power,
-    fe_zero,
-    grid,
-    grid_point,
-    index_add,
-    lf_add,
-    lf_mul,
-    u_map,
-)
+from framefield.localfield import grid_point, index_add
 from framefield.mask import (
     CheckReport,
     FilterBank,
@@ -29,17 +19,26 @@ from framefield.mask import (
     check_polyphase_unitary,
     check_subqmf,
     check_uep,
-    eval_mask,
-    eval_symbol,
     mask_add,
     mask_mul,
     mask_row,
     mask_values_at_digits,
     mask_values_on_grid,
+    zero_mask,
+)
+from framefield.reference import (
+    chi_n,
+    eval_mask,
+    eval_symbol,
+    fe_prime_power,
+    fe_zero,
+    grid,
+    lf_add,
+    lf_mul,
     modulation_matrix,
     polyphase_matrix,
     polyphase_split,
-    zero_mask,
+    u_map,
 )
 
 from helpers import delta_mask, mask_scale, random_bank, shift_map

@@ -32,14 +32,13 @@ from framefield.mask import (
     check_uep,
     coset_values,
     covering_depth,
-    eval_symbol,
     gram_deviation,
     make_report,
     mask_values_on_grid,
-    polyphase_split,
     polyphase_symbols,
     sweep_report,
 )
+from framefield.reference import eval_symbol, polyphase_split
 
 from helpers import random_bank, shift_map
 

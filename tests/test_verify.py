@@ -19,13 +19,13 @@ from framefield.construct import (
 )
 from framefield.errors import ConstructionError, CoverageError, DepthError, ParameterError
 from framefield.galois import FieldParams
-from framefield.localfield import FieldElement, fe_prime_power, fe_zero, index_add, u_map
-from framefield.mask import FilterBank, Mask, check_uep, eval_mask, zero_mask
+from framefield.localfield import FieldElement, index_add
+from framefield.mask import FilterBank, Mask, check_uep, zero_mask
+from framefield.reference import cascade_value, eval_mask, fe_prime_power, fe_zero, u_map
 from framefield.verify import (
     HatGrid,
     analysis_step,
     cascade_phihat,
-    cascade_value,
     constant_hat,
     mixed_frame_experiment,
     multiplier_orthogonality_check,
