@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, ParameterError, SizeError
-from .galois import FieldParams, addressable
+from .galois import FieldParams, addressable, json_int
 from .localfield import index_sub
 from .mask import (
     CheckReport,
@@ -36,6 +36,7 @@ from .mask import (
     row_json,
     sweep_report,
     _grid_transform,
+    _trimmed_columns,
     DEFAULT_MATRIX_TOL,
 )
 
@@ -107,9 +108,9 @@ class Paraunitary(CoefficientBlock):
         size = symbols.shape[1]
         rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
         del symbols
-        block = _trim_columns(coefficient_rows(params, rows.reshape(size * size, -1)))
+        matrix = cls._of_block(params, coefficient_rows(params, rows.reshape(size * size, -1)))
         del rows  # only the trimmed block is kept while it is certified
-        return cls._of_block(params, block)._certified()
+        return matrix._certified()
 
     def to_json(self) -> dict:
         flat, size = self._rows_json(row_json, [None] * len(self.coeffs)), self.size
@@ -133,19 +134,11 @@ def _check_grid(entries, size: int) -> None:
 def matrix_header(obj: dict) -> tuple:
     """The field and size of a ``Paraunitary.to_json`` object, read before its entries."""
     try:
-        params, size = FieldParams.from_json(obj["field"]), int(obj["size"])
+        params, size = FieldParams.from_json(obj["field"]), json_int(obj["size"], "size")
         _check_grid(obj["entries"], size)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad paraunitary object: {exc}") from exc
     return params, size
-
-
-def _trim_columns(block: np.ndarray) -> np.ndarray:
-    """``block`` without its trailing all-zero columns, as a new array when
-    there are any, so that the wider buffer can go."""
-    nonzero = np.flatnonzero(block.any(axis=0))
-    width = int(nonzero[-1]) + 1 if nonzero.size else 0
-    return block if width == block.shape[1] else block[:, :width].copy()
 
 
 def _seeded_unitary(size: int, *key: int) -> np.ndarray:
@@ -199,7 +192,7 @@ def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
     block = np.zeros((size * size, max(moved, default=-1) + 1), dtype=np.complex128)
     block[:, moved] = adjoint
     strides = tuple(a.strides[j * size + i] for i in range(size) for j in range(size))
-    return Paraunitary._of_block(a.params, _trim_columns(block), strides)._certified()
+    return Paraunitary._of_block(a.params, block, strides)._certified()
 
 
 def compose(a: Paraunitary, b: Paraunitary) -> Paraunitary:
@@ -272,20 +265,20 @@ class FramePair:
         return cls(primal, dual)
 
 
-def _product_symbols(matrix: Paraunitary, wavelets: np.ndarray):
-    """Samples for products of matrix entries with the wavelet rows of a
-    block on the grid that covers both: entry symbols at the coset
-    representatives, (R, size, size), and wavelet symbols, (L, R, q)."""
-    params = matrix.params
+def _product_symbols(matrix: Paraunitary, bank: FilterBank):
+    """Samples for products of matrix entries with the wavelets of ``bank``
+    on the grid that covers both: entry symbols at the coset
+    representatives, (R, size, size), and wavelet symbols, (L, R, q).  The
+    wavelet rows keep their own width, so a wider m0 cannot deepen the grid."""
+    params, wavelets = matrix.params, _trimmed_columns(bank.coeffs[1:])
     depth = covering_depth(max(matrix.max_index, wavelets.shape[1] - 1), params.q)
     return matrix.symbols(depth), coset_values(params, wavelets, depth) * math.sqrt(params.q)
 
 
 def _mix_wavelets(matrix: Paraunitary, column_offset: int, bank: FilterBank) -> FilterBank:
     """The bank whose wavelet k is sum_l entries[k][column_offset+l] * wavelet
-    l of ``bank``, scaling mask unchanged.  The wavelet rows keep their own
-    width, so a wider m0 cannot deepen the product grid."""
-    entries, values = _product_symbols(matrix, _trim_columns(bank.coeffs[1:]))
+    l of ``bank``, scaling mask unchanged."""
+    entries, values = _product_symbols(matrix, bank)
     block = entries[:, :, column_offset : column_offset + bank.n_wavelets]
     out = np.einsum("Rkl,lRa->kRa", block, values).reshape(matrix.size, -1)
     wavelets = block_masks(bank.params, coefficient_rows(bank.params, out), [1] * matrix.size)
@@ -317,7 +310,7 @@ def orthogonal_family(bank: FilterBank, matrix: Paraunitary) -> list:
     if bank.params != matrix.params:
         raise ParameterError("bank and matrix must share field parameters")
     require_tight(bank, "input")
-    entries, values = _product_symbols(matrix, bank.coeffs[1:])
+    entries, values = _product_symbols(matrix, bank)
     families = []
     for c in range(matrix.size):
         # products [n, l] = entries[l][c] * wavelet n, on the two strides' common lattice

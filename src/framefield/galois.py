@@ -49,11 +49,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def digit_count(n: int, base: int) -> int:
+    """The least d >= 0 with base**d > n, counted without forming a power."""
+    digits = 0
+    while n > 0:
+        n //= base
+        digits += 1
+    return digits
+
+
 def addressable(base: int, power: int, itemsize: int) -> bool:
-    """Whether base**power items of ``itemsize`` bytes, base >= 2, take at
-    most sys.maxsize bytes: the address space.  2**64 is past it, so no
-    larger power is formed."""
-    return power < 64 and base ** power * itemsize <= sys.maxsize
+    """Whether base**power items of ``itemsize`` bytes fit in sys.maxsize bytes."""
+    return base < 2 or power < digit_count(sys.maxsize // itemsize, base)
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _poly_trim(a):
@@ -146,7 +160,8 @@ class FieldParams:
     @classmethod
     def from_json(cls, obj: dict) -> "FieldParams":
         try:
-            return cls(p=int(obj["p"]), c=int(obj["c"]), modulus=tuple(obj.get("modulus", ())))
+            modulus = tuple(json_int(a, "modulus coefficient") for a in obj.get("modulus", ()))
+            return cls(p=json_int(obj["p"], "p"), c=json_int(obj["c"], "c"), modulus=modulus)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"bad field parameters: {exc}") from exc
 

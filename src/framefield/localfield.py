@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, SizeError
-from .galois import FieldParams
+from .galois import FieldParams, digit_count, json_int
 
 MAX_GRID_POINTS = 1 << 22
 
@@ -60,16 +60,6 @@ class FieldElement:
             return 0.0
         return float(self.params.q) ** (-self.v)
 
-    def __add__(self, other):
-        from .reference import lf_add
-
-        return lf_add(self, other)
-
-    def __mul__(self, other):
-        from .reference import lf_mul
-
-        return lf_mul(self, other)
-
     def digit_at(self, power: int) -> int:
         """Digit code at t^power (0 if outside the support)."""
         i = power - self.v
@@ -95,9 +85,10 @@ class FieldElement:
         p = params.p
         try:
             digits = tuple(
-                sum(int(a) * p ** i for i, a in enumerate(coords)) for coords in obj["digits"]
+                sum(json_int(a, "digit coordinate") * p ** i for i, a in enumerate(coords))
+                for coords in obj["digits"]
             )
-            return cls(params, int(obj["v"]), digits)
+            return cls(params, json_int(obj["v"], "valuation"), digits)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"bad field element: {exc}") from exc
 
@@ -127,11 +118,9 @@ def index_sub(params: FieldParams, m: int, n: int) -> int:
 
 
 def check_grid_points(q: int, depth: int):
-    """SizeError when the depth-s grid has more than MAX_GRID_POINTS points.
-    q**23 is past the cap for every q >= 2, so no larger power is formed."""
-    points = q ** depth if depth < 23 else f"{q}^{depth}"
-    if depth >= 23 or points > MAX_GRID_POINTS:
-        raise SizeError(f"grid of {points} points exceeds the {MAX_GRID_POINTS} cap")
+    """SizeError when the depth-s grid has more than MAX_GRID_POINTS points."""
+    if depth >= digit_count(MAX_GRID_POINTS, q):
+        raise SizeError(f"grid of {q}^{depth} points exceeds the {MAX_GRID_POINTS} cap")
 
 
 def grid_digits(params: FieldParams, depth: int) -> np.ndarray:

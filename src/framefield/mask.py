@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConstructionError, DepthError, ParameterError, SizeError
-from .galois import FieldParams, field_tables
+from .galois import FieldParams, digit_count, field_tables, json_int
 from .localfield import MAX_GRID_POINTS, FieldElement, check_grid_points, grid_point
 
 DEFAULT_MATRIX_TOL = 1e-10
@@ -43,7 +43,8 @@ FACTOR_CACHE = 4
 
 
 def _check_stride(stride: int, q: int) -> None:
-    if stride < 1 or q ** round(math.log(stride, q)) != stride:
+    # a whole n >= 1 is a power of q exactly when n - 1 has one base-q digit fewer
+    if stride % 1 or digit_count(stride - 1, q) == digit_count(stride, q):
         raise ParameterError(f"stride must be a power of q, got {stride}")
 
 
@@ -51,6 +52,25 @@ def _trimmed(coeffs: np.ndarray) -> np.ndarray:
     """``coeffs`` without its trailing zeros, as a view."""
     nonzero = np.flatnonzero(coeffs)
     return coeffs[: nonzero[-1] + 1] if nonzero.size else coeffs[:0]
+
+
+def _trimmed_columns(block: np.ndarray) -> np.ndarray:
+    """``block`` without its trailing all-zero columns, as a new array when
+    there are any, so that the wider buffer can go."""
+    nonzero = np.flatnonzero(block.any(axis=0))
+    width = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return block if width == block.shape[1] else block[:, :width].copy()
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` if nothing can write to it: read-only and C-contiguous, its
+    memory owned by itself or by a read-only array; else a read-only copy."""
+    owner = array if array.base is None else array.base
+    if array.flags.writeable or not (array.flags.c_contiguous and isinstance(owner, np.ndarray)
+                                     and owner.flags.owndata and not owner.flags.writeable):
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -66,14 +86,7 @@ class Mask:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.ndim != 1:
             raise ParameterError("coefficients must be one-dimensional")
-        coeffs, owner = _trimmed(coeffs), coeffs.base
-        # a contiguous row of a frozen array that owns its data (a bank's
-        # block) is kept; anything a caller could still write to is copied
-        frozen = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
-        if coeffs.flags.writeable or not (frozen and coeffs.flags.c_contiguous):
-            coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", frozen(_trimmed(coeffs)))
 
     def __len__(self):
         return len(self.coeffs)
@@ -98,7 +111,7 @@ def mask_row(params: FieldParams, obj: dict) -> MaskRow:
     array :func:`coeff_pairs` makes of them), checked as a Mask checks it."""
     try:
         pairs = coeff_pairs(obj["coeffs"])
-        stride = int(obj.get("stride", 1))
+        stride = json_int(obj.get("stride", 1), "stride")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad mask object: {exc}") from exc
     # checked here, where input enters, rather than on every Mask the
@@ -200,7 +213,9 @@ class CoefficientBlock:
 
     @classmethod
     def _of_block(cls, params: FieldParams, coeffs: np.ndarray, strides=None):
-        """The block ``coeffs``, kept read-only, its rows of stride base unless ``strides`` says."""
+        """The block ``coeffs``, kept read-only, its rows of stride base unless
+        ``strides`` says; its trailing zero columns are dropped, by a copy."""
+        coeffs = _trimmed_columns(coeffs)
         coeffs.flags.writeable = False
         block = cls.__new__(cls)
         strides = (cls._base(params),) * len(coeffs) if strides is None else tuple(strides)
@@ -234,13 +249,12 @@ class CoefficientBlock:
 
 class FilterBank(CoefficientBlock):
     """A refinement mask plus wavelet masks: a stride-1 block, row 0 m0.
-    ``m0``, ``wavelets`` and ``masks`` are the masks the bank was built
-    from, else made from the block when first read."""
+    ``m0`` is the mask the bank was built from, else made from the block
+    when first read, as ``wavelets`` and ``masks`` always are."""
 
     def __init__(self, params: FieldParams, m0: Mask, wavelets):
-        masks = (m0, *wavelets)
-        super().__init__(params, masks)
-        self.__dict__.update(m0=m0, wavelets=masks[1:])
+        super().__init__(params, (m0, *wavelets))
+        self.__dict__.update(m0=m0)
 
     @functools.cached_property
     def m0(self) -> Mask:
@@ -399,10 +413,9 @@ def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.n
     q = params.q
     check_grid_points(q, depth)
     m, n = coeffs.shape
-    e = 0
-    while e < depth and q ** e < n:
-        e += 1
-    if n <= q ** e:
+    last = digit_count(n - 1, q)  # base-q digits of the last slot
+    e = min(depth, last)
+    if e == last:  # the rows fit the depth-e grid
         folded = np.zeros((m, q ** e), dtype=np.complex128)
         # added to zeros, as the sum over folds adds them: -0.0 becomes 0.0
         folded[:, :n] += coeffs
@@ -504,10 +517,7 @@ def polyphase_symbols(bank: FilterBank) -> np.ndarray:
 
 def covering_depth(max_index: int, q: int) -> int:
     """Smallest depth s >= 1 with q**s > max_index."""
-    depth = 1
-    while q ** depth <= max_index:
-        depth += 1
-    return depth
+    return max(1, digit_count(max_index, q))
 
 
 def swept_depth(depth: int, max_index: int, q: int) -> int:

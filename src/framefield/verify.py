@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DepthError, ParameterError, SizeError
-from .galois import FieldParams, addressable
+from .galois import FieldParams, addressable, digit_count
 from .localfield import FieldElement, check_grid_points
 from .mask import (
     DEFAULT_CASCADE_TOL,
@@ -27,6 +27,7 @@ from .mask import (
     _require_normalized,
     covering_depth,
     from_spectrum,
+    frozen,
     make_report,
     mask_values_on_grid,
     polyphase_symbols,
@@ -52,12 +53,7 @@ class HatGrid:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.params.q ** (self.j_neg + self.j_pos),):
             raise ParameterError("hat grid values have the wrong length")
-        # a read-only array that owns its data is frozen already: keep it;
-        # copy anything its caller could still write to
-        if values.flags.writeable or not values.flags.owndata:
-            values = values.copy()
-            values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen(values))
 
     @property
     def width(self) -> int:
@@ -204,12 +200,9 @@ def partition_of_unity_check(
 
 def _signal_levels(params: FieldParams, n: int) -> int:
     q = params.q
-    levels = 0
-    size = 1
-    while size < n:
-        size *= q
-        levels += 1
-    if size != n:
+    levels = digit_count(n - 1, q)
+    # n is q**levels exactly when n itself has one base-q digit more
+    if digit_count(n, q) == levels:
         raise ParameterError(f"signal length {n} is not a power of q = {q}")
     return levels
 

@@ -806,6 +806,63 @@ def test_overflowing_bank_number_is_input_error(tmp_path, capsys, haar2, path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, text, name", [
+    (("field", "p"), "3.9", "p"),
+    (("field", "p"), '"3"', "p"),
+    (("field", "c"), "2.2", "c"),
+    (("field", "modulus", 0), "true", "modulus coefficient"),
+    (("masks", 1, "stride"), "1.5", "stride"),
+    (("masks", 1, "stride"), "true", "stride"),
+    (("masks", 1, "stride"), '"1"', "stride"),
+    (("size",), "2.7", "size"),
+], ids=["p-float", "p-string", "c-float", "modulus-bool", "stride-float", "stride-bool",
+        "stride-string", "size-float"])
+def test_file_numbers_must_be_json_integers(tmp_path, capsys, path, text, name):
+    # each of these was once read through int(): as GF(3), GF(9), stride 1, size 2
+    params = FieldParams(3, 2)
+    bank, pu = tmp_path / "bank.json", tmp_path / "pu.json"
+    matrix = constant_paraunitary(params, 2, 1).to_json()
+    if path[0] == "size":
+        bank.write_text(json.dumps(haar_bank(params).to_json()))
+        pu.write_text(_with_number(matrix, path, text))
+    else:
+        bank.write_text(_with_number(haar_bank(params).to_json(), path, text))
+        pu.write_text(json.dumps(matrix))
+    out = tmp_path / "fam"
+    assert run(["family", "--bank", bank, "--paraunitary", pu, "--out-dir", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and f"{name} must be an integer" in lines[0], lines
+    assert not out.exists()
+
+
+def test_pair_with_a_dual_that_is_not_tight_is_rejected(tmp_path, capsys, p2, haar2):
+    primal, dual = tmp_path / "primal.json", tmp_path / "dual.json"
+    primal.write_text(json.dumps(haar2.to_json()))
+    halved = FilterBank(p2, haar2.m0, [mask_scale(m, 0.5) for m in haar2.wavelets])
+    dual.write_text(json.dumps(halved.to_json()))
+    out = tmp_path / "pair.json"
+    assert run(["pair", "--primal", primal, "--dual", dual, "--out", out]) == 1
+    message = "dual input bank fails the tight-frame check"
+    assert f"construction rejected: {message}" in capsys.readouterr().err
+    obj = load(out)
+    assert obj["rejected"] == message
+    assert obj["report"]["condition"] == "uep" and obj["report"]["pass"] is False
+
+
+def test_family_on_a_bank_that_is_not_tight_is_rejected(tmp_path, capsys, p2, haar2):
+    bank = tmp_path / "bank.json"
+    halved = FilterBank(p2, haar2.m0, [mask_scale(m, 0.5) for m in haar2.wavelets])
+    bank.write_text(json.dumps(halved.to_json()))
+    out = tmp_path / "fam"
+    assert run(["family", "--bank", bank, "--out-dir", out]) == 1
+    message = "input bank fails the tight-frame check"
+    assert f"construction rejected: {message}" in capsys.readouterr().err
+    obj = load(out / "reports.json")
+    assert obj["rejected"] == message
+    assert obj["report"]["condition"] == "uep" and obj["report"]["pass"] is False
+    assert sorted(p.name for p in out.iterdir()) == ["reports.json"]
+
+
 def test_overflowing_paraunitary_size_is_input_error(tmp_path, capsys, p2):
     pu = tmp_path / "pu.json"
     pu.write_text(_with_number(seeded_paraunitary(p2, 2, seed=11).to_json(), ("size",), "1e999"))

@@ -185,3 +185,12 @@ def test_element_json_roundtrip(p3):
     obj = x.to_json()
     assert obj["v"] == -2
     assert FieldElement.from_json(p3, obj) == x
+
+
+@pytest.mark.parametrize(
+    "key, value", [("v", 1.5), ("v", "1"), ("digits", [[1.0]]), ("digits", [[True]])]
+)
+def test_element_json_numbers_must_be_integers(p3, key, value):
+    obj = {"v": 0, "digits": [[1]], key: value}
+    with pytest.raises(ParameterError, match="must be an integer"):
+        FieldElement.from_json(p3, obj)

@@ -18,6 +18,7 @@ from framefield.construct import (
     compose,
     constant_paraunitary,
     delay_block,
+    haar_bank,
     orthogonal_family,
     paraunitary_adjoint,
     seeded_paraunitary,
@@ -167,6 +168,22 @@ def test_mix_wavelets_ignores_the_width_of_m0(params, seed, length, data):
     for a, b in zip(short.wavelets, long.wavelets, strict=True):
         assert a.stride == b.stride
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@given(params=fields, seed=st.integers(0, 2 ** 16), size=st.integers(1, 3))
+def test_orthogonal_family_ignores_the_width_of_m0(params, seed, size):
+    # the Haar m0 times a stride-q unit delay: still tight, and one digit
+    # wider than the wavelets, which a constant matrix does not widen, so
+    # the product grid is that of the Haar bank and so are the wavelets
+    haar = haar_bank(params)
+    delayed = FilterBank(params, Mask(params, np.r_[np.zeros(params.q), haar.m0.coeffs]),
+                         haar.wavelets)
+    matrix = constant_paraunitary(params, size, seed)
+    for a, b in zip(orthogonal_family(haar, matrix), orthogonal_family(delayed, matrix),
+                    strict=True):
+        for wa, wb in zip(a.wavelets, b.wavelets, strict=True):
+            assert wa.stride == wb.stride
+            assert np.array_equal(wa.coeffs.view(np.int64), wb.coeffs.view(np.int64))
 
 
 @given(params=fields, seed=st.integers(0, 2 ** 16), size=st.integers(1, 3), delay=st.integers(0, 2))
