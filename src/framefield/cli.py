@@ -3,7 +3,9 @@
 Subcommands: gen, verify, pair, family, experiment.  Exit codes follow a
 fixed contract: 0 all checks pass, 1 a mathematical check failed, 2 bad
 input (parameters or files), 3 depth/size/coverage problems or memory
-exhaustion.
+exhaustion.  Each subcommand declares its report file beside its
+function: a construction or precondition it rejects exits 1, and that file
+holds the ``rejected`` message and the failed ``report``.
 
 All outputs are JSON (CSV for experiment series); identical configuration
 and seed reproduce byte-identical payloads, with timestamps confined to a
@@ -163,7 +165,8 @@ def _load_json(path: Path, inputs: dict) -> dict:
     del data  # the text alone is needed while the parse runs
     try:
         return json.loads(text, object_hook=_coeff_arrays)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -199,10 +202,10 @@ def _finish(out: Path, payload: dict, reports) -> int:
 
 
 def _rejected(exc: ConstructionError, out: Path) -> int:
-    """Report a rejected construction, with its failed check when it has one."""
+    """Report a rejected construction, and its failed check if any, in ``out``."""
     print(f"construction rejected: {exc}", file=sys.stderr)
-    if exc.report is not None:
-        _write_json(out, {"rejected": str(exc), "report": exc.report.to_json()})
+    report = None if exc.report is None else exc.report.to_json()
+    _write_json(out, {"rejected": str(exc), "report": report})
     return EXIT_CHECK_FAILED
 
 
@@ -289,10 +292,7 @@ def cmd_pair(args) -> int:
                              "and a pair needs at least one")
     tol = _positive(args.tol, "tolerance")
     matrix = _load_paraunitary(args, primal.params, 2 * primal.n_wavelets, inputs)
-    try:
-        pair = derive_pair(primal, dual, matrix)
-    except ConstructionError as exc:
-        return _rejected(exc, Path(args.out))
+    pair = derive_pair(primal, dual, matrix)
     depth = args.depth if args.depth else None
     reports = certify_family([pair.primal, pair.dual], depth, tol)
     provenance = {
@@ -314,10 +314,7 @@ def cmd_family(args) -> int:
     bank = FilterBank.from_json(_load_json(bank_path, inputs))
     tol = _positive(args.tol, "tolerance")
     matrix = _load_paraunitary(args, bank.params, args.size, inputs)
-    try:
-        families = orthogonal_family(bank, matrix)
-    except ConstructionError as exc:
-        return _rejected(exc, out_dir / "reports.json")
+    families = orthogonal_family(bank, matrix)
     depth = args.depth if args.depth else None
     reports = certify_family(families, depth, tol)
     provenance = {
@@ -437,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--c", type=int, default=1)
     gen.add_argument("--modulus", default="")
     gen.add_argument("--out", default="bank.json")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, report="{out}")
 
     ver = sub.add_parser("verify", help="run checks against a bank file")
     ver.add_argument("bank")
@@ -446,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--depth", type=int, default=0)
     ver.add_argument("--tol", type=float, default=DEFAULT_MATRIX_TOL)
     ver.add_argument("--out", default="report.json")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, report="{out}")
 
     pair = sub.add_parser("pair", help="derive an orthogonal frame pair")
     pair.add_argument("--primal", required=True)
@@ -456,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--depth", type=int, default=0)
     pair.add_argument("--tol", type=float, default=DEFAULT_MATRIX_TOL)
     pair.add_argument("--out", default="pair.json")
-    pair.set_defaults(func=cmd_pair)
+    pair.set_defaults(func=cmd_pair, report="{out}")
 
     fam = sub.add_parser("family", help="derive a family of orthogonal tight frames")
     fam.add_argument("--bank", required=True)
@@ -468,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--depth", type=int, default=0)
     fam.add_argument("--tol", type=float, default=DEFAULT_MATRIX_TOL)
     fam.add_argument("--out-dir", default="family")
-    fam.set_defaults(func=cmd_family)
+    fam.set_defaults(func=cmd_family, report="{out_dir}/reports.json")
 
     exp = sub.add_parser("experiment", help="run a functional experiment",
                          description="The default sizes suit parseval and mixed at q = 2 "
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--hat-pos", type=int, default=3, dest="hat_pos", metavar="J",
                      help="the hat is sampled at resolution q**-J (default: %(default)s)")
     exp.add_argument("--out", default="experiment.json")
-    exp.set_defaults(func=cmd_experiment)
+    exp.set_defaults(func=cmd_experiment, report="{out}")
     return parser
 
 
@@ -505,17 +502,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ConstructionError as exc:  # report is a template over the arguments
+            return _rejected(exc, Path(args.report.format_map(vars(args))))
     except (DepthError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ParameterError, FrameFieldError) as exc:
+    # an OSError here is a write that failed after its file opened: a full disk
+    except (ParameterError, FrameFieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

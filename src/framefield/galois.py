@@ -3,7 +3,8 @@
 Elements are digit vectors over the polynomial basis {1, z, ..., z^(c-1)}
 with z a root of a monic irreducible modulus polynomial over GF(p).
 Every element also has an integer code d = a0 + a1*p + ... + a_{c-1}*p^(c-1)
-in [0, q).
+in [0, q).  A modulus that is not given is the monic irreducible of degree
+c whose lower coefficients have the least such code.
 
 Sums of elements are carry-free base-p sums of their codes.  The
 characters see a product only through proj0(a*b) = a^T M b mod p, and
@@ -19,18 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError
-
-# Monic irreducible moduli, (p, c) -> coefficient tuple (a0, ..., ac) with ac = 1.
-# Users may override via FieldParams(modulus=...).
-DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),        # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
-    (3, 2): (1, 0, 1),        # x^2 + 1
-    (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
-    (5, 2): (2, 0, 1),        # x^2 + 2
-    (5, 3): (1, 1, 0, 1),     # x^3 + x + 1
-}
 
 
 def is_prime(n: int) -> bool:
@@ -78,27 +67,31 @@ def _poly_trim(a):
 
 
 def _poly_rem(a, b, p):
-    """Remainder of polynomial a modulo monic-leading b, coefficients mod p."""
+    """Remainder of polynomial a modulo monic b, coefficients mod p."""
     a = [x % p for x in a]
     a = _poly_trim(a)
     b = _poly_trim([x % p for x in b])
     db = len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
     while len(a) - 1 >= db and a:
         shift = len(a) - 1 - db
-        factor = (a[-1] * lead_inv) % p
+        factor = a[-1]
         for i, bc in enumerate(b):
             a[i + shift] = (a[i + shift] - factor * bc) % p
         a = _poly_trim(a)
     return a
 
 
+def _monic(code: int, p: int, degree: int) -> tuple:
+    """The monic polynomial of ``degree`` whose lower coefficients
+    (a0, ..., a_{degree-1}) are the base-p digits of ``code``."""
+    return tuple((code // p ** i) % p for i in range(degree)) + (1,)
+
+
 def _is_irreducible(modulus, p, c) -> bool:
     """No monic factor of degree <= c//2 (for c <= 3, no root)."""
     for deg in range(1, c // 2 + 1):
         for code in range(p ** deg):
-            cand = [(code // p ** i) % p for i in range(deg)] + [1]
-            if not _poly_rem(modulus, cand, p):
+            if not _poly_rem(modulus, _monic(code, p, deg), p):
                 return False
     return True
 
@@ -108,8 +101,9 @@ class FieldParams:
     """Residue-field parameters: prime p, extension degree c, modulus polynomial.
 
     The modulus is a tuple of c+1 coefficients in [0, p), monic, irreducible
-    over GF(p); it is ignored for c = 1 and may be omitted whenever the
-    built-in table covers (p, c).
+    over GF(p).  It is ignored for c = 1, and when it is omitted the monic
+    irreducible of degree c with the least code is taken: (0, 1) for c = 1,
+    x^2 + x + 1 for GF(4), x^8 + x^4 + x^3 + x + 1 for GF(256).
     """
 
     p: int
@@ -131,15 +125,9 @@ class FieldParams:
         if not is_prime(self.p):
             raise ParameterError(f"p must be prime, got {self.p!r}")
         modulus = tuple(self.modulus)
-        if self.c == 1:
-            modulus = (0, 1)
-        elif not modulus:
-            try:
-                modulus = DEFAULT_MODULI[(self.p, self.c)]
-            except KeyError:
-                raise ParameterError(
-                    f"no built-in modulus for (p={self.p}, c={self.c}); pass one explicitly"
-                ) from None
+        if self.c == 1 or not modulus:  # the least code; every degree has an irreducible
+            candidates = (_monic(code, self.p, self.c) for code in range(self.q))
+            modulus = next(m for m in candidates if _is_irreducible(m, self.p, self.c))
         if len(modulus) != self.c + 1:
             raise ParameterError(f"modulus must have degree c={self.c}")
         if modulus[-1] != 1:
@@ -158,12 +146,18 @@ class FieldParams:
         return {"p": self.p, "c": self.c, "modulus": list(self.modulus)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FieldParams":
+    def from_json(cls, obj) -> "FieldParams":
+        """A file's ``field``: a JSON object, whose ``modulus`` may be absent or a JSON list."""
+        if not isinstance(obj, dict):
+            raise ParameterError(f"field must be a JSON object, got {type(obj).__name__}")
+        modulus = obj.get("modulus", [])
+        if not isinstance(modulus, list):
+            raise ParameterError(f"field modulus must be a JSON list, got {type(modulus).__name__}")
         try:
-            modulus = tuple(json_int(a, "modulus coefficient") for a in obj.get("modulus", ()))
-            return cls(p=json_int(obj["p"], "p"), c=json_int(obj["c"], "c"), modulus=modulus)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"bad field parameters: {exc}") from exc
+            p, c = json_int(obj["p"], "p"), json_int(obj["c"], "c")
+        except KeyError as exc:
+            raise ParameterError(f"bad field parameters: missing {exc}") from exc
+        return cls(p, c, tuple(json_int(a, "modulus coefficient") for a in modulus))
 
 
 @functools.lru_cache(maxsize=None)

@@ -57,6 +57,10 @@ def test_gen_haar(tmp_path):
     out3 = tmp_path / "haar3.json"
     assert run(["gen", "haar", "--p", 3, "--out", out3]) == 0
     assert len(load(out3)["masks"]) == 3
+    # no table lists GF(256): its modulus is the least-code irreducible
+    out256 = tmp_path / "haar256.json"
+    assert run(["gen", "haar", "--p", 2, "--c", 8, "--out", out256]) == 0
+    assert load(out256)["field"] == {"p": 2, "c": 8, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]}
 
 
 def test_unknown_kinds_exit_2(tmp_path, capsys):
@@ -861,6 +865,93 @@ def test_family_on_a_bank_that_is_not_tight_is_rejected(tmp_path, capsys, p2, ha
     assert obj["rejected"] == message
     assert obj["report"]["condition"] == "uep" and obj["report"]["pass"] is False
     assert sorted(p.name for p in out.iterdir()) == ["reports.json"]
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 5000,  # more digits than Python converts to an int
+    "[" * 100000 + "]" * 100000,  # deeper than the parser recurses
+], ids=["long-integer", "deep-nesting"])
+def test_json_the_parser_refuses_is_input_error(tmp_path, capsys, haar2, text):
+    bank = tmp_path / "bank.json"
+    bank.write_text(_with_number(haar2.to_json(), ("field", "p"), text))
+    out = tmp_path / "r.json"
+    assert run(["verify", bank, "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "malformed JSON" in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, text, message", [
+    (("field",), "null", "field must be a JSON object"),
+    (("field",), "[3, 2]", "field must be a JSON object"),
+    (("field",), '"GF(9)"', "field must be a JSON object"),
+    (("field", "modulus"), "{}", "field modulus must be a JSON list"),
+    (("field", "modulus"), '"1,0,1"', "field modulus must be a JSON list"),
+], ids=["field-null", "field-list", "field-string", "modulus-object", "modulus-string"])
+def test_field_is_an_object_and_its_modulus_a_list(tmp_path, capsys, path, text, message):
+    bank = tmp_path / "bank.json"
+    bank.write_text(_with_number(haar_bank(FieldParams(3, 2)).to_json(), path, text))
+    out = tmp_path / "r.json"
+    assert run(["verify", bank, "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and message in lines[0], lines
+    assert not out.exists()
+
+
+def _rejection(capsys, out, condition) -> str:
+    """Check for one ``construction rejected:`` line and no error line, and
+    that ``out`` holds its message and a failed ``condition`` report; give
+    the message."""
+    err = capsys.readouterr().err.splitlines()
+    lines = [line for line in err if line.startswith(("construction rejected: ", "error:"))]
+    assert len(lines) == 1 and lines[0].startswith("construction rejected: "), err
+    message = lines[0].removeprefix("construction rejected: ")
+    obj = load(out)
+    assert obj["rejected"] == message
+    assert obj["report"]["condition"] == condition and obj["report"]["pass"] is False
+    return message
+
+
+def test_experiment_on_a_bank_that_is_not_tight_is_rejected(tmp_path, capsys):
+    obj = haar_bank(FieldParams(3, 2)).to_json()
+    obj["masks"][1]["coeffs"][0][0] += 0.1
+    bank, out = tmp_path / "bank.json", tmp_path / "parseval.json"
+    bank.write_text(json.dumps(obj))
+    assert run(["experiment", "--kind", "parseval", "--bank", bank, "--signal-size", 2,
+                "--levels", 1, "--trials", 2, "--out", out]) == 1
+    assert _rejection(capsys, out, "uep") == "input bank fails the tight-frame check"
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_family_with_a_matrix_that_is_not_paraunitary_is_rejected(tmp_path, capsys):
+    params = FieldParams(3, 2)
+    matrix = constant_paraunitary(params, 2, 1).to_json()
+    matrix["entries"][0][0]["coeffs"][0][0] += 0.1
+    bank, pu, out = tmp_path / "bank.json", tmp_path / "pu.json", tmp_path / "fam"
+    bank.write_text(json.dumps(haar_bank(params).to_json()))
+    pu.write_text(json.dumps(matrix))
+    assert run(["family", "--bank", bank, "--paraunitary", pu, "--out-dir", out]) == 1
+    message = _rejection(capsys, out / "reports.json", "paraunitary")
+    assert message.startswith("matrix is not paraunitary"), message
+    assert sorted(p.name for p in out.iterdir()) == ["reports.json"]
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["unopenable", "full-disk"])
+def test_a_rejection_that_cannot_be_written_is_input_error(tmp_path, capsys, p2, haar2, full):
+    if full and not os.path.exists("/dev/full"):
+        pytest.skip("needs a device that is always full")
+    bank, blocker, out = tmp_path / "bank.json", tmp_path / "file", tmp_path / "fam"
+    halved = FilterBank(p2, haar2.m0, [mask_scale(m, 0.5) for m in haar2.wavelets])
+    bank.write_text(json.dumps(halved.to_json()))
+    if full:  # the report opens, and its first write fails
+        out.mkdir()
+        (out / "reports.json").symlink_to("/dev/full")
+    else:  # the report's directory cannot be made
+        blocker.write_text("")
+        out = blocker / "fam"
+    assert run(["family", "--bank", bank, "--out-dir", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1, lines
 
 
 def test_overflowing_paraunitary_size_is_input_error(tmp_path, capsys, p2):

@@ -8,12 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefield.errors import ParameterError, RangeError, SizeError
-from framefield.galois import (
-    DEFAULT_MODULI,
-    FieldParams,
-    _is_irreducible,
-    field_tables,
-)
+from framefield.galois import FieldParams, _is_irreducible, field_tables
 from framefield.localfield import FieldElement, index_add, index_sub
 from framefield.reference import (
     GFElem,
@@ -144,9 +139,21 @@ def _code_product(params, a: int, b: int) -> int:
     return lf_mul(FieldElement(params, 0, (a,)), FieldElement(params, 0, (b,))).digit_at(0)
 
 
-# every built-in modulus with q <= 32, and prime fields
+# the moduli of the seven extension fields that once had a built-in table,
+# (p, c) -> (a0, ..., ac); the least-code rule must give each of them
+TABLE_MODULI = {
+    (2, 2): (1, 1, 1),        # x^2 + x + 1
+    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
+    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
+    (3, 2): (1, 0, 1),        # x^2 + 1
+    (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
+    (5, 2): (2, 0, 1),        # x^2 + 2
+    (5, 3): (1, 1, 0, 1),     # x^3 + x + 1
+}
+
+# every table field with q <= 32, and prime fields
 TABLE_FIELDS = [(2, 1), (3, 1), (31, 1)] + sorted(
-    key for key in DEFAULT_MODULI if key[0] ** key[1] <= 32
+    key for key in TABLE_MODULI if key[0] ** key[1] <= 32
 )
 
 
@@ -254,6 +261,20 @@ def test_irreducibility_matches_every_product_of_monic_factors(p):
         for code in range(p ** c):
             modulus = _monic(code, c, p)
             assert _is_irreducible(modulus, p, c) == (modulus not in reducible), (p, modulus)
+        # the default is the irreducible of least code, whose most
+        # significant digit is the highest coefficient below the leading 1
+        irreducible = {_monic(code, c, p) for code in range(p ** c)} - reducible
+        assert FieldParams(p, c).modulus == min(irreducible, key=lambda m: m[::-1]), (p, c)
+
+
+def test_default_modulus_is_the_least_code_irreducible():
+    for (p, c), modulus in TABLE_MODULI.items():
+        assert FieldParams(p, c).modulus == modulus, (p, c)
+    for p in (2, 3, 31):
+        assert FieldParams(p, 1).modulus == (0, 1)
+        assert FieldParams(p, 1, (1, 1)).modulus == (0, 1)  # ignored at c = 1
+    assert FieldParams(2, 8).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8 + x^4 + x^3 + x + 1
+    assert FieldParams(2, 10).modulus == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)  # x^10 + x^3 + 1
 
 
 def test_bad_params_rejected():
@@ -267,8 +288,7 @@ def test_bad_params_rejected():
         FieldParams(2, 2, (1, 1, 1, 1))  # wrong degree
     with pytest.raises(ParameterError):
         FieldParams(2, 2, (1, 1, 2))  # not monic / out of range
-    with pytest.raises(ParameterError):
-        FieldParams(7, 2)  # no built-in modulus for this pair
+    assert FieldParams(7, 2).modulus == (1, 0, 1)  # found by the least-code rule
 
 
 def test_params_beyond_address_space_rejected_before_search():
