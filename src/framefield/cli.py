@@ -138,8 +138,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _coeff_arrays(obj: dict) -> dict:
     """``json.loads`` object hook: a mask's ``coeffs`` list becomes an
     (n, 2) array as soon as its object is parsed, so the lists of one mask
-    at a time exist.  A list that is not [re, im] pairs stays, for
-    ``mask_row`` to reject."""
+    at a time exist.  A list that is not [re, im] pairs stays, for the bank
+    and matrix reader, ``CoefficientBlock._of_entries``, to reject."""
     coeffs = obj.get("coeffs")
     if isinstance(coeffs, list):
         try:

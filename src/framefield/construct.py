@@ -11,6 +11,7 @@ outputs orthogonal, because distinct columns are pointwise orthonormal.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .mask import (
     coset_values,
     covering_depth,
     gram_deviation,
-    mask_row,
     require_tight,
     row_json,
     sweep_report,
@@ -120,8 +120,7 @@ class Paraunitary(CoefficientBlock):
     @classmethod
     def from_json(cls, obj: dict) -> "Paraunitary":
         params, _ = matrix_header(obj)
-        rows = [mask_row(params, entry) for row in obj["entries"] for entry in row]
-        return cls._of_rows(params, rows)._certified()
+        return cls._of_entries(params, itertools.chain.from_iterable(obj["entries"]))._certified()
 
 
 def _check_grid(entries, size: int) -> None:

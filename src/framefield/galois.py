@@ -128,13 +128,13 @@ class FieldParams:
         if self.c == 1 or not modulus:  # the least code; every degree has an irreducible
             candidates = (_monic(code, self.p, self.c) for code in range(self.q))
             modulus = next(m for m in candidates if _is_irreducible(m, self.p, self.c))
-        if len(modulus) != self.c + 1:
+        elif len(modulus) != self.c + 1:
             raise ParameterError(f"modulus must have degree c={self.c}")
-        if modulus[-1] != 1:
+        elif modulus[-1] != 1:
             raise ParameterError("modulus must be monic")
-        if any(not (0 <= a < self.p) for a in modulus):
+        elif any(not (0 <= a < self.p) for a in modulus):
             raise ParameterError("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(modulus, self.p, self.c):
+        elif not _is_irreducible(modulus, self.p, self.c):
             raise ParameterError(f"modulus {modulus} is reducible over GF({self.p})")
         object.__setattr__(self, "modulus", modulus)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,26 +102,6 @@ class Mask:
         return row_json(self.coeffs, self.stride, role)
 
 
-MaskRow = namedtuple("MaskRow", "coeffs stride")  # a Mask's data, without the Mask
-
-
-def mask_row(params: FieldParams, obj: dict) -> MaskRow:
-    """The row of a ``Mask.to_json`` object (its ``coeffs`` may also be the
-    array :func:`coeff_pairs` makes of them), checked as a Mask checks it."""
-    try:
-        pairs = coeff_pairs(obj["coeffs"])
-        stride = json_int(obj.get("stride", 1), "stride")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"bad mask object: {exc}") from exc
-    # checked here, where input enters, rather than on every Mask the
-    # algebra builds from finite values
-    if not np.isfinite(pairs).all():
-        raise ParameterError("mask coefficients must be finite")
-    _check_stride(stride, params.q)
-    # each [re, im] row read as one complex value, signed zeros kept
-    return MaskRow(pairs.view(np.complex128)[:, 0], stride)
-
-
 def row_json(coeffs: np.ndarray, stride: int, role: str | None = None) -> dict:
     """The JSON object of the mask with trimmed coefficients ``coeffs`` and
     ``stride``: [re, im] pairs, and the role first when there is one."""
@@ -163,24 +142,54 @@ def _require_normalized(m0_at_zero: complex) -> None:
         raise ParameterError(f"refinement mask is not normalized: m0(0) = {m0_at_zero}")
 
 
-def coefficient_block(params: FieldParams, masks, base: int = 1) -> tuple:
-    """The read-only (M, n) block of ``masks`` (or MaskRows), and their
-    strides.  Column k holds the coefficient of index base*k, so a stride-s
-    mask fills every (s/base)-th column: the same mask, zero-interleaved (a
-    zero mask may have any stride).  n is the fewest columns that hold every
-    nonzero coefficient; past q * MAX_GRID_POINTS, where every grid that
-    covers them is past the cap, SizeError is raised before allocating."""
-    rows = [(_trimmed(m.coeffs), m.stride) for m in masks]
-    if any(len(coeffs) and stride % base for coeffs, stride in rows):
+def _placed(params: FieldParams, values: np.ndarray, lengths: np.ndarray, strides, base: int):
+    """The read-only block whose row i holds the next ``lengths[i]`` of
+    ``values``, up to the last nonzero one, at stride ``strides[i]``.  Column
+    k holds the coefficient of index base*k, so a stride-s row fills every
+    (s/base)-th column (a zero row may have any stride).  The block has the
+    fewest columns that hold every nonzero value; past q * MAX_GRID_POINTS,
+    where every grid that covers them is past the cap, SizeError is raised
+    before it is allocated.  Each rule runs once per distinct stride, and
+    the values are placed at once; when they fill the block row by row, it
+    is a view of them and their array, which no caller writes, is frozen."""
+    starts = np.cumsum(lengths) - lengths
+    nonzero = np.flatnonzero(values)  # as in _trimmed, -0.0 counts as zero
+    ends = np.searchsorted(nonzero, starts + lengths)  # nonzero values before each row's end
+    ends[ends > 0] = nonzero[ends[ends > 0] - 1] + 1  # one past the last of them
+    del nonzero  # before the block is allocated
+    kept = np.maximum(ends - starts, 0)
+    codes = {stride: i for i, stride in enumerate(dict.fromkeys(strides))}
+    kinds = np.fromiter(map(codes.__getitem__, strides), np.intp, len(strides))
+    extents = [(stride, int(kept[kinds == i].max())) for stride, i in codes.items()]
+    if any(n and stride % base for stride, n in extents):
         raise ParameterError(f"masks of a stride below {base} do not lie on the lattice {base}*N0")
-    width = max(((len(c) - 1) * s // base + 1 for c, s in rows if len(c)), default=0)
+    width = max(((n - 1) * stride // base + 1 for stride, n in extents if n), default=0)
     if width > params.q * MAX_GRID_POINTS:
         raise SizeError(f"a block of {width} columns exceeds the {params.q * MAX_GRID_POINTS} cap")
-    block = np.zeros((len(rows), width), dtype=np.complex128)
-    for row, (coeffs, stride) in zip(block, rows):
-        row[:: max(stride // base, 1)][: len(coeffs)] = coeffs
+    # where the values go, row-major as they come: a row's first kept
+    # columns at its step (a stride past the width steps over one value)
+    target = np.zeros((len(lengths), width), dtype=bool)
+    for i, (stride, _) in enumerate(extents):
+        rows, step = kinds == i, max(min(stride // base, width), 1)
+        target[rows, ::step] = np.arange(0, width, step) < step * kept[rows, None]
+    if (kept < lengths).any():  # a row's trailing zeros, -0.0 among them, go
+        values = values[np.arange(len(values)) < np.repeat(starts + kept, lengths)]
+    if target.all():  # the values already lie as the block holds them: keep their memory
+        block = values.reshape(target.shape)
+        (values if values.base is None else values.base).flags.writeable = False
+    else:
+        block = np.zeros(target.shape, dtype=np.complex128)
+        block[target] = values
     block.flags.writeable = False
-    return block, tuple(stride for _, stride in rows)
+    return block
+
+
+def coefficient_block(params: FieldParams, masks, base: int = 1) -> tuple:
+    """The read-only (M, n) block of ``masks`` on the lattice base*N0
+    (:func:`_placed`), and their strides."""
+    coeffs, strides = zip(*((m.coeffs, m.stride) for m in masks))
+    lengths = np.fromiter(map(len, coeffs), np.intp, len(coeffs))
+    return _placed(params, np.concatenate(coeffs), lengths, strides, base), strides
 
 
 def block_masks(params: FieldParams, coeffs: np.ndarray, strides, base: int = 1) -> list:
@@ -193,7 +202,7 @@ def block_masks(params: FieldParams, coeffs: np.ndarray, strides, base: int = 1)
 class CoefficientBlock:
     """Masks as one read-only :func:`coefficient_block`, last column nonzero, on
     the lattice base*N0, base = q**lattice_power (1 for a bank, q for a matrix),
-    and its rows' strides.  Files are read and written row by row."""
+    and its rows' strides.  Files are read by :meth:`_of_entries` and written row by row."""
 
     params: FieldParams
     coeffs: np.ndarray
@@ -223,9 +232,29 @@ class CoefficientBlock:
         return block
 
     @classmethod
-    def _of_rows(cls, params: FieldParams, rows):
-        """The block of masks or :func:`mask_row` rows, each row trimmed once."""
-        return cls._of_block(params, *coefficient_block(params, rows, cls._base(params)))
+    def _of_entries(cls, params: FieldParams, entries):
+        """The block of the ``Mask.to_json`` objects ``entries``, a row each,
+        whose ``coeffs`` may also be the arrays :func:`coeff_pairs` makes.  Each
+        entry is parsed once; the checks and the trim then run on whole arrays."""
+        arrays, strides = [], []
+        for obj in entries:
+            try:
+                coeffs = obj["coeffs"]
+                arrays.append(coeffs if isinstance(coeffs, np.ndarray) else coeff_pairs(coeffs))
+                strides.append(json_int(obj.get("stride", 1), "stride"))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"bad mask object: {exc}") from exc
+        pairs = np.concatenate(arrays or [np.empty((0, 2))], dtype=np.float64)
+        # checked here, where input enters, rather than on every Mask the
+        # algebra builds from finite values
+        if not np.isfinite(pairs).all():
+            raise ParameterError("mask coefficients must be finite")
+        for stride in dict.fromkeys(strides):
+            _check_stride(stride, params.q)
+        lengths = np.fromiter(map(len, arrays), np.intp, len(arrays))
+        # each [re, im] row read as one complex value, signed zeros kept
+        block = _placed(params, pairs.view(np.complex128)[:, 0], lengths, strides, cls._base(params))
+        return cls._of_block(params, block, strides)
 
     @property
     def max_index(self) -> int:
@@ -281,17 +310,18 @@ class FilterBank(CoefficientBlock):
 
     @classmethod
     def from_json(cls, obj: dict, *, require_normalized: bool = True) -> "FilterBank":
-        """The bank of a ``to_json`` object, each mask's row copied into the block."""
+        """The bank of a ``to_json`` object, m0's entry first (:meth:`_of_entries`)."""
         try:
             params = FieldParams.from_json(obj["field"])
-            rows = [mask_row(params, mobj) for mobj in obj["masks"]]
-            m0 = [i for i, mobj in enumerate(obj["masks"]) if mobj.get("role") == "m0"]
+            masks = obj["masks"]
+            m0 = [i for i, mobj in enumerate(masks)
+                  if isinstance(mobj, dict) and mobj.get("role") == "m0"]
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"bad bank object: {exc}") from exc
         if len(m0) != 1:
+            cls._of_entries(params, masks)  # the entries are read first: a bad one is named
             raise ParameterError(f"bank declares {len(m0)} refinement masks, not one")
-        rows.insert(0, rows.pop(m0[0]))
-        bank = cls._of_rows(params, rows)
+        bank = cls._of_entries(params, [masks[m0[0]], *masks[: m0[0]], *masks[m0[0] + 1 :]])
         if require_normalized:
             # m0(0), the sum of m0's coefficients over sqrt(q), can overflow
             # to inf or NaN, which the check rejects without a warning first

@@ -91,6 +91,17 @@ def reference_character_transform(coeffs: np.ndarray, factor: np.ndarray) -> np.
     return out.reshape(m, n)
 
 
+def reference_block(masks, base: int = 1):
+    """The block of ``coefficient_block``, built one row at a time: a
+    stride-s mask's trimmed coefficients fill every (s/base)-th column."""
+    width = max(((len(m.coeffs) - 1) * m.stride // base + 1 for m in masks if len(m.coeffs)),
+                default=0)
+    block = np.zeros((len(masks), width), dtype=np.complex128)
+    for row, m in zip(block, masks):
+        row[:: max(m.stride // base, 1)][: len(m.coeffs)] = m.coeffs
+    return block, tuple(m.stride for m in masks)
+
+
 def mask_adjoint(m: Mask) -> Mask:
     """Mask of the conjugated symbol: conjugate coefficients at negated indices."""
     occupied = np.flatnonzero(m.coeffs)

@@ -6,7 +6,9 @@ while it converts one mask at a time, and ``_load_json`` turns each mask's
 coefficients are still input errors.
 """
 
+import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,11 +18,12 @@ from hypothesis import strategies as st
 
 from framefield import cli
 from framefield.cli import _deferred, _load_json, _mask_json, _write_json, main
-from framefield.construct import FramePair, orthogonal_family, seeded_paraunitary
+from framefield.construct import FramePair, Paraunitary, orthogonal_family, seeded_paraunitary
+from framefield.errors import ParameterError
 from framefield.galois import FieldParams
-from framefield.mask import FilterBank, Mask, coeff_pairs, zero_mask
+from framefield.mask import FilterBank, Mask, coeff_pairs, coefficient_block, zero_mask
 
-from helpers import random_bank
+from helpers import random_bank, reference_block
 
 CREATED = "2000-01-01T00:00:00+00:00"
 SPECIAL = [-0.0, 0.0, 5e-324, -2.2e-308, 1e-310, 1e308, -1e308, 0.1, -1.0]
@@ -201,6 +204,85 @@ def test_coeff_pairs_accepts_json_numbers():
     assert pairs.dtype == np.float64
     assert pairs.tolist() == [[1.0, -0.0], [1.0, float(2 ** 70)]]
     assert np.signbit(pairs[0, 1])
+
+
+entry_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e300])
+zero_pairs = st.sampled_from([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+
+
+@st.composite
+def file_entries(draw, count, q, lowest_power):
+    """``count`` mask objects: values with interior signed zeros, trailing
+    zeros (-0.0 among them), empty and all-zero rows, and strides q**k for
+    k from ``lowest_power`` to 2, mixed; an all-zero row may have stride 1."""
+    entries = []
+    for _ in range(count):
+        coeffs = draw(st.lists(st.lists(entry_values, min_size=2, max_size=2), max_size=5))
+        coeffs += draw(st.lists(zero_pairs, max_size=3))
+        stride = q ** draw(st.integers(lowest_power, 2))
+        if not any(re or im for re, im in coeffs):
+            stride = draw(st.sampled_from([1, stride]))
+        entries.append({"stride": stride, "coeffs": coeffs})
+    return entries
+
+
+@given(field=st.sampled_from([(2, 1), (3, 1), (2, 2)]), matrix=st.booleans(), data=st.data())
+def test_reader_matches_the_block_of_masks(field, matrix, data):
+    # the reader's block and strides are those of coefficient_block over one
+    # Mask per entry, bit for bit, whether the entries' coeffs are lists or
+    # the arrays the load hook makes of them; both place their rows through
+    # one routine, so both are held to a block built one row at a time
+    params = FieldParams(*field)
+    count = data.draw(st.integers(1, 3)) ** 2 if matrix else data.draw(st.integers(1, 5))
+    entries = data.draw(file_entries(count, params.q, int(matrix)))
+    if matrix:
+        size = math.isqrt(count)
+        obj = {"field": params.to_json(), "size": size,
+               "entries": [entries[i * size : (i + 1) * size] for i in range(size)]}
+    else:
+        m0 = data.draw(st.integers(0, count - 1))
+        for i, entry in enumerate(entries):
+            entry["role"] = "m0" if i == m0 else "wavelet"
+        obj = {"field": params.to_json(), "masks": entries}
+        entries = [entries[m0], *entries[:m0], *entries[m0 + 1 :]]
+    masks = [Mask(params, coeff_pairs(e["coeffs"]).view(complex)[:, 0], e["stride"])
+             for e in entries]
+    want, strides = reference_block(masks, params.q ** matrix)
+    got = [coefficient_block(params, masks, params.q ** matrix)]
+    text = json.dumps(obj)
+    for parsed in (json.loads(text), json.loads(text, object_hook=cli._coeff_arrays)):
+        if matrix:
+            flat = itertools.chain.from_iterable(parsed["entries"])
+            block = Paraunitary._of_entries(params, flat)
+        else:
+            block = FilterBank.from_json(parsed, require_normalized=False)
+        got.append((block.coeffs, block.strides))
+    for coeffs, got_strides in got:
+        assert got_strides == strides
+        assert coeffs.shape == want.shape
+        assert np.array_equal(coeffs, want)
+        assert np.array_equal(np.signbit(coeffs.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+@pytest.mark.parametrize("masks", ["abc", {"a": 1}, [[1, 2]], [{"stride": 1}]],
+                         ids=["string", "object", "lists", "no-coeffs"])
+def test_bank_entries_are_read_before_m0_is_counted(p2, masks):
+    # none of these holds an m0 entry, yet the first bad entry is what is named
+    with pytest.raises(ParameterError, match="^bad mask object: "):
+        FilterBank.from_json({"field": p2.to_json(), "masks": masks})
+
+
+def test_reader_keeps_strides_past_int64(p2):
+    # a zero row, or one holding only index 0, may have any power of q as
+    # its stride, however large; the block stays two columns wide
+    obj = {"field": p2.to_json(), "masks": [
+        {"role": "m0", "stride": 1, "coeffs": [[0.5 ** 0.5, 0.0], [0.5 ** 0.5, 0.0]]},
+        {"role": "wavelet", "stride": 2 ** 70, "coeffs": [[0.0, 0.0]]},
+        {"role": "wavelet", "stride": 2 ** 80, "coeffs": [[1.0, 0.0], [-0.0, 0.0]]},
+    ]}
+    bank = FilterBank.from_json(obj)
+    assert bank.strides == (1, 2 ** 70, 2 ** 80)
+    assert bank.coeffs.tolist() == [[0.5 ** 0.5, 0.5 ** 0.5], [0, 0], [1, 0]]
 
 
 def _peak_during(call):

@@ -516,7 +516,7 @@ def test_paraunitary_file_is_checked_before_its_entries_are_read(tmp_path, capsy
     run(["gen", "haar", "--p", 2, "--out", bank])
     pu3.write_text(json.dumps(seeded_paraunitary(FieldParams(2, 1), 3, seed=1).to_json()))
     pu4.write_text(json.dumps(seeded_paraunitary(FieldParams(2, 2), 2, seed=1).to_json()))
-    monkeypatch.setattr(construct, "mask_row", refuse)
+    monkeypatch.setattr(construct.Paraunitary, "_of_entries", refuse)
     monkeypatch.setattr(construct.Paraunitary, "unitarity_report", refuse)
     for args, out in (
         (["pair", "--primal", bank, "--dual", bank, "--paraunitary", pu3, "--out"],
@@ -530,6 +530,23 @@ def test_paraunitary_file_is_checked_before_its_entries_are_read(tmp_path, capsy
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "Traceback" not in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"coeffs": [[float("nan"), 0.0]]}, "mask coefficients must be finite"),
+    ({"stride": 3}, "stride must be a power of q, got 3"),
+])
+def test_paraunitary_file_fault_in_its_last_entry_exits_2(tmp_path, capsys, gf4, fault, message):
+    # the whole-array checks reach the last entry of a 6 x 6 matrix file
+    bank, pu = tmp_path / "haar4.json", tmp_path / "pu6.json"
+    run(["gen", "haar", "--p", 2, "--c", 2, "--out", bank])
+    obj = constant_paraunitary(gf4, 6, 1).to_json()
+    obj["entries"][-1][-1].update(fault)
+    pu.write_text(json.dumps(obj))
+    out = tmp_path / "pair.json"
+    assert run(["pair", "--primal", bank, "--dual", bank, "--paraunitary", pu, "--out", out]) == 2
+    assert _error_lines(capsys) == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("size", [0, -1])

@@ -38,8 +38,8 @@ from framefield.mask import (
     check_mixed_orthogonality,
     coefficient_block,
     check_uep,
+    coeff_pairs,
     covering_depth,
-    mask_row,
     mask_values_on_grid,
     sweep_report,
     zero_mask,
@@ -449,7 +449,8 @@ def test_paraunitary_file_keeps_entry_strides(tmp_path, p3):
     path = tmp_path / "pu.json"
     path.write_text(json.dumps(obj))
     loaded = Paraunitary.from_json(_load_json(path, {}))
-    want = [[Mask(p3, *mask_row(p3, m)) for m in row] for row in json.loads(path.read_text())["entries"]]
+    want = [[Mask(p3, coeff_pairs(m["coeffs"]).view(complex)[:, 0], m["stride"]) for m in row]
+            for row in json.loads(path.read_text())["entries"]]
     assert {m.stride for row in want for m in row} == {1, 3, 9}
     assert_same_entries(loaded, want)
     assert_same_report(loaded.unitarity_report(), reference_unitarity(p3, want))

@@ -277,6 +277,23 @@ def test_default_modulus_is_the_least_code_irreducible():
     assert FieldParams(2, 10).modulus == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)  # x^10 + x^3 + 1
 
 
+def test_found_modulus_is_tested_once(monkeypatch):
+    # the search tests each candidate once, and a given modulus is tested
+    from framefield import galois
+
+    tested = []
+    monkeypatch.setattr(galois, "_is_irreducible",
+                        lambda m, p, c: tested.append(m) or _is_irreducible(m, p, c))
+    found = FieldParams(2, 16).modulus
+    assert tested.count(found) == 1 and tested[-1] == found
+    tested.clear()
+    assert FieldParams(2, 16, found).modulus == found and tested == [found]
+    with pytest.raises(ParameterError, match="reducible"):
+        FieldParams(2, 2, (1, 0, 1))
+    for (p, c), modulus in TABLE_MODULI.items():
+        assert FieldParams(p, c).modulus == modulus, (p, c)
+
+
 def test_bad_params_rejected():
     with pytest.raises(ParameterError):
         FieldParams(4, 1)

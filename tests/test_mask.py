@@ -21,7 +21,6 @@ from framefield.mask import (
     check_uep,
     mask_add,
     mask_mul,
-    mask_row,
     mask_values_at_digits,
     mask_values_on_grid,
     zero_mask,
@@ -302,8 +301,9 @@ def test_worst_point_is_first_lexicographic(p2):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_mask_load_rejects_non_finite(p2, bad):
     for coeff in ([1.0, bad], [bad, 0.0]):
-        with pytest.raises(ParameterError):
-            mask_row(p2, {"stride": 1, "coeffs": [[1.0, 0.0], coeff]})
+        mask = {"role": "m0", "stride": 1, "coeffs": [[1.0, 0.0], coeff]}
+        with pytest.raises(ParameterError, match="finite"):
+            FilterBank.from_json({"field": p2.to_json(), "masks": [mask]})
 
 
 def test_report_says_what_was_swept(p3, haar2):
