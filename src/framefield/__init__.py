@@ -9,7 +9,7 @@ Modules
 -------
 galois      residue-field parameters and the field state of the kernels
 localfield  field elements, the index group of u(n), grids
-mask        masks, grid evaluation, condition checkers
+mask        masks, banks and frame pairs, grid evaluation, condition checkers
 construct   canonical banks, paraunitary matrices, pair/family algorithms
 verify      cascade, discrete transforms, Parseval/orthogonality experiments
 reference   the per-point reference route: exact arithmetic, characters,
@@ -25,13 +25,13 @@ _EXPORTS = {
     "FieldParams": "galois",
     **dict.fromkeys(("FieldElement", "index_add", "index_sub"), "localfield"),
     **dict.fromkeys(
-        ("CheckReport", "FilterBank", "Mask", "check_mixed_orthogonality",
+        ("CheckReport", "FilterBank", "FramePair", "Mask", "check_mixed_orthogonality",
          "check_polyphase_unitary", "check_subqmf", "check_uep", "mask_mul"),
         "mask",
     ),
     **dict.fromkeys(
-        ("FramePair", "Paraunitary", "compose", "constant_paraunitary", "delay_block",
-         "derive_pair", "haar_bank", "orthogonal_family"),
+        ("Paraunitary", "compose", "constant_paraunitary", "delay_block", "derive_pair",
+         "haar_bank", "orthogonal_family"),
         "construct",
     ),
     **dict.fromkeys(

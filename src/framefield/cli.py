@@ -13,8 +13,8 @@ separate ``metadata`` block.
 
 The constructions (``construct``) and the experiments (``verify``) are
 imported by the commands that run them, so ``verify`` starts without
-either, and only ``experiment --kind mixed`` imports ``construct``, for
-the frame-pair file.
+either, and ``experiment`` imports ``verify`` alone: the frame-pair file
+of ``experiment --kind mixed`` is read by ``mask.FramePair``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
     FilterBank,
+    FramePair,
     check_mixed_orthogonality,
     check_polyphase_unitary,
     check_subqmf,
@@ -285,8 +286,7 @@ def cmd_pair(args) -> int:
     inputs = {}
     primal = FilterBank.from_json(_load_json(primal_path, inputs))
     dual = FilterBank.from_json(_load_json(dual_path, inputs))
-    if primal.n_wavelets != dual.n_wavelets:
-        raise ParameterError("primal and dual banks must have equal wavelet counts")
+    FramePair(primal, dual)  # one field, equal wavelet counts
     if not primal.n_wavelets:
         raise ParameterError(f"{primal_path} and {dual_path} hold no wavelet masks, "
                              "and a pair needs at least one")
@@ -367,13 +367,9 @@ def cmd_experiment(args) -> int:
     tol = _positive(args.tol, "tolerance")
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")
-    flag = "pair" if args.kind == "mixed" else "bank"
+    flag, source_type = ("pair", FramePair) if args.kind == "mixed" else ("bank", FilterBank)
     if not getattr(args, flag):
         raise ParameterError(f"experiment {args.kind} needs --{flag}")
-    if args.kind == "mixed":
-        from .construct import FramePair as source_type
-    else:
-        source_type = FilterBank
     inputs = {}
     source = source_type.from_json(_load_json(Path(getattr(args, flag)), inputs))
     trials = DEFAULT_TRIALS if args.trials is None else args.trials

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .mask import (
     CheckReport,
     CoefficientBlock,
     FilterBank,
+    FramePair,
     block_masks,
     character_table,
     check_mixed_orthogonality,
@@ -56,7 +56,7 @@ def haar_bank(params: FieldParams) -> FilterBank:
 class Paraunitary(CoefficientBlock):
     """Square matrix of stride-q symbols, unitary at every grid point: a
     block on the stride-q lattice, row i*size + j holding entry (i, j),
-    certified when it is made."""
+    certified when it is made, from masks or from a block."""
 
     lattice_power = 1
 
@@ -65,6 +65,12 @@ class Paraunitary(CoefficientBlock):
         _check_grid(entries, size)
         super().__init__(params, [m for row in entries for m in row])
         self._certified()
+
+    @classmethod
+    def _of_block(cls, params: FieldParams, coeffs: np.ndarray, strides=None) -> "Paraunitary":
+        """The block of :meth:`CoefficientBlock._of_block`, certified; every
+        other constructor and the file reader make their matrix here."""
+        return super()._of_block(params, coeffs, strides)._certified()
 
     def _certified(self) -> "Paraunitary":
         report = self.unitarity_report()
@@ -108,9 +114,9 @@ class Paraunitary(CoefficientBlock):
         size = symbols.shape[1]
         rows = np.array(symbols.transpose(1, 2, 0), dtype=np.complex128, order="C")
         del symbols
-        matrix = cls._of_block(params, coefficient_rows(params, rows.reshape(size * size, -1)))
+        block = _trimmed_columns(coefficient_rows(params, rows.reshape(size * size, -1)))
         del rows  # only the trimmed block is kept while it is certified
-        return matrix._certified()
+        return cls._of_block(params, block)
 
     def to_json(self) -> dict:
         flat, size = self._rows_json(row_json, [None] * len(self.coeffs)), self.size
@@ -120,7 +126,7 @@ class Paraunitary(CoefficientBlock):
     @classmethod
     def from_json(cls, obj: dict) -> "Paraunitary":
         params, _ = matrix_header(obj)
-        return cls._of_entries(params, itertools.chain.from_iterable(obj["entries"]))._certified()
+        return cls._of_entries(params, itertools.chain.from_iterable(obj["entries"]))
 
 
 def _check_grid(entries, size: int) -> None:
@@ -160,7 +166,7 @@ def _seeded_unitary(size: int, *key: int) -> np.ndarray:
 def constant_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary:
     """Gram-Schmidt of a seeded random complex matrix, as constant symbols."""
     unitary = _seeded_unitary(size, 0xC0, seed)
-    return Paraunitary._of_block(params, unitary.reshape(size * size, 1))._certified()
+    return Paraunitary._of_block(params, unitary.reshape(size * size, 1))
 
 
 def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Paraunitary:
@@ -172,7 +178,7 @@ def delay_block(params: FieldParams, size: int, position: int, delay: int) -> Pa
     block = np.zeros((size * size, delay + 1), dtype=np.complex128)
     slots = np.where(np.arange(size) == position, delay, 0)
     block[np.arange(size) * (size + 1), slots] = 1.0
-    return Paraunitary._of_block(params, block)._certified()
+    return Paraunitary._of_block(params, block)
 
 
 def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
@@ -191,7 +197,7 @@ def paraunitary_adjoint(a: Paraunitary) -> Paraunitary:
     block = np.zeros((size * size, max(moved, default=-1) + 1), dtype=np.complex128)
     block[:, moved] = adjoint
     strides = tuple(a.strides[j * size + i] for i in range(size) for j in range(size))
-    return Paraunitary._of_block(a.params, block, strides)._certified()
+    return Paraunitary._of_block(a.params, block, strides)
 
 
 def compose(a: Paraunitary, b: Paraunitary) -> Paraunitary:
@@ -231,39 +237,6 @@ def _seeded_symbols(params: FieldParams, size: int, seed: int) -> np.ndarray:
     return prod
 
 
-@dataclass(frozen=True)
-class FramePair:
-    """A primal/dual pair of filter banks with matching generator counts."""
-
-    primal: FilterBank
-    dual: FilterBank
-
-    def __post_init__(self):
-        if self.primal.params != self.dual.params:
-            raise ParameterError("pair members must share field parameters")
-        if self.primal.n_wavelets != self.dual.n_wavelets:
-            raise ParameterError("pair members must have equal generator counts")
-
-    @property
-    def params(self) -> FieldParams:
-        return self.primal.params
-
-    def to_json(self, provenance: dict | None = None, row_json=row_json) -> dict:
-        obj = {"primal": self.primal.to_json(row_json), "dual": self.dual.to_json(row_json)}
-        if provenance is not None:
-            obj["provenance"] = provenance
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict, *, require_normalized: bool = True) -> "FramePair":
-        try:
-            primal = FilterBank.from_json(obj["primal"], require_normalized=require_normalized)
-            dual = FilterBank.from_json(obj["dual"], require_normalized=require_normalized)
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"bad frame pair object: {exc}") from exc
-        return cls(primal, dual)
-
-
 def _product_symbols(matrix: Paraunitary, bank: FilterBank):
     """Samples for products of matrix entries with the wavelets of ``bank``
     on the grid that covers both: entry symbols at the coset
@@ -289,11 +262,10 @@ def derive_pair(primal: FilterBank, dual: FilterBank, matrix: Paraunitary) -> Fr
     matrix of size 2L: the first L columns act on the primal wavelets, the
     last L on the dual wavelets.  Scaling masks pass through unchanged.
     """
-    if not primal.params == dual.params == matrix.params:
-        raise ParameterError("primal bank, dual bank and matrix must share field parameters")
+    FramePair(primal, dual)  # one field, equal wavelet counts
     length = primal.n_wavelets
-    if dual.n_wavelets != length:
-        raise ParameterError("primal and dual banks must have equal wavelet counts")
+    if matrix.params != primal.params:
+        raise ParameterError("primal bank, dual bank and matrix must share field parameters")
     if matrix.size != 2 * length:
         raise ParameterError(f"matrix size {matrix.size} != 2L = {2 * length}")
     require_tight(primal, "primal input")

@@ -331,6 +331,39 @@ class FilterBank(CoefficientBlock):
 
 
 @dataclass(frozen=True)
+class FramePair:
+    """A primal/dual pair of filter banks over one field with equal wavelet counts."""
+
+    primal: FilterBank
+    dual: FilterBank
+
+    def __post_init__(self):
+        if self.primal.params != self.dual.params:
+            raise ParameterError("pair members must share field parameters")
+        if self.primal.n_wavelets != self.dual.n_wavelets:
+            raise ParameterError("pair members must have equal wavelet counts")
+
+    @property
+    def params(self) -> FieldParams:
+        return self.primal.params
+
+    def to_json(self, provenance: dict | None = None, row_json=row_json) -> dict:
+        obj = {"primal": self.primal.to_json(row_json), "dual": self.dual.to_json(row_json)}
+        if provenance is not None:
+            obj["provenance"] = provenance
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict, *, require_normalized: bool = True) -> "FramePair":
+        try:
+            primal = FilterBank.from_json(obj["primal"], require_normalized=require_normalized)
+            dual = FilterBank.from_json(obj["dual"], require_normalized=require_normalized)
+        except (KeyError, TypeError) as exc:
+            raise ParameterError(f"bad frame pair object: {exc}") from exc
+        return cls(primal, dual)
+
+
+@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification sweep."""
 
@@ -338,9 +371,12 @@ class CheckReport:
     grid_depth: int
     max_deviation: float
     tolerance: float
-    passed: bool
     worst_point: FieldElement | None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_deviation <= self.tolerance)  # a NaN deviation fails
 
     def to_json(self) -> dict:
         return {
@@ -364,13 +400,11 @@ class CheckReport:
 def make_report(condition, depth, deviations, tol, params, details=None, spacing=1) -> CheckReport:
     """Fold deviation i of grid point i * spacing into a report (first argmax wins)."""
     worst = int(np.argmax(deviations))
-    max_dev = float(deviations[worst])
     return CheckReport(
         condition=condition,
         grid_depth=depth,
-        max_deviation=max_dev,
+        max_deviation=float(deviations[worst]),
         tolerance=tol,
-        passed=bool(max_dev <= tol),
         worst_point=grid_point(params, depth, worst * spacing),
         details=details or {},
     )
@@ -659,11 +693,7 @@ def check_mixed_orthogonality(
     the point r + a of a coset these entries are row a, column a and the
     diagonal of the cross Gram C(r) of the representative.
     """
-    if bankA.params != bankB.params:
-        raise ParameterError("banks belong to different fields")
-    if bankA.n_wavelets != bankB.n_wavelets:
-        raise ParameterError("banks must have the same number of wavelet masks")
-    params = bankA.params
+    params = FramePair(bankA, bankB).params
     swept = swept_depth(depth, max(bankA.max_index, bankB.max_index), params.q)
     va, vb = (coset_values(params, bank.coeffs[1:], swept) for bank in (bankA, bankB))
     dev = blocked_gram(va, vb, _cross_deviation)

@@ -22,6 +22,7 @@ from .mask import (
     DEFAULT_MATRIX_TOL,
     CheckReport,
     FilterBank,
+    FramePair,
     Mask,
     _grid_transform,
     _require_normalized,
@@ -294,7 +295,7 @@ def _random_signal_trials(condition, stream, banks, measure, size_exponent, leve
     worst = float(per_trial[worst_trial])
     details = {"levels": levels, "trials": trials, "seed": seed,
                "worst_trial": worst_trial, "per_trial": per_trial}
-    return CheckReport(condition, size_exponent, worst, tol, bool(worst <= tol), None, details)
+    return CheckReport(condition, size_exponent, worst, tol, None, details)
 
 
 def parseval_experiment(

@@ -27,8 +27,15 @@ from framefield.construct import (
     orthogonal_family,
     seeded_paraunitary,
 )
+from framefield.errors import ParameterError
 from framefield.galois import FieldParams
-from framefield.mask import FilterBank, mask_values_on_grid, zero_mask
+from framefield.mask import (
+    FilterBank,
+    FramePair,
+    check_mixed_orthogonality,
+    mask_values_on_grid,
+    zero_mask,
+)
 from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
 
 from helpers import mask_scale, random_bank
@@ -216,6 +223,48 @@ def test_pair_rejects_banks_without_wavelets(tmp_path, capsys, p2, haar2):
     assert len(errors) == 1 and str(bank) in errors[0], err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# a bank that cannot be paired with a GF(2) Haar bank, and FramePair's message
+MISMATCHED_DUALS = pytest.mark.parametrize("dual, message", [
+    ("haar3", "pair members must share field parameters"),
+    ("two_wavelets", "pair members must have equal wavelet counts"),
+], ids=["two-fields", "unequal-counts"])
+
+
+def mismatched_dual(name, p2, p3, haar2):
+    matrix = seeded_paraunitary(p2, 2, seed=1)
+    return {"haar3": haar_bank(p3), "two_wavelets": orthogonal_family(haar2, matrix)[0]}[name]
+
+
+@MISMATCHED_DUALS
+@pytest.mark.parametrize("entry", ["FramePair", "check_mixed_orthogonality", "derive_pair"])
+def test_two_banks_are_a_pair_by_one_rule(p2, p3, haar2, entry, dual, message):
+    # every function that takes two banks as a pair refuses banks of two
+    # fields or of unequal wavelet counts with FramePair's message
+    dual = mismatched_dual(dual, p2, p3, haar2)
+    call = {"FramePair": lambda: FramePair(haar2, dual),
+            "check_mixed_orthogonality": lambda: check_mixed_orthogonality(haar2, dual, 2),
+            "derive_pair": lambda: derive_pair(haar2, dual, seeded_paraunitary(p2, 2, seed=1))}
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call[entry]()
+
+
+@MISMATCHED_DUALS
+@pytest.mark.parametrize("command", ["pair", "verify"])
+def test_commands_pair_banks_by_one_rule(tmp_path, capsys, p2, p3, haar2, command, dual, message):
+    # as above, and the command exits 2 with that message as its one error line
+    primal_path, dual_path = tmp_path / "primal.json", tmp_path / "dual.json"
+    primal_path.write_text(json.dumps(haar2.to_json()))
+    dual_path.write_text(json.dumps(mismatched_dual(dual, p2, p3, haar2).to_json()))
+    args = {"pair": ["pair", "--primal", primal_path, "--dual", dual_path],
+            "verify": ["verify", primal_path, "--checks", "mixed", "--dual", dual_path]}
+    out = tmp_path / "out.json"
+    assert run([*args[command], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {message}"], err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_verify_depth_too_small(tmp_path, p2, haar2):
@@ -1050,18 +1099,24 @@ def test_benchmark_tracer_runs_a_cli_op(tmp_path, p2):
 
 
 def test_experiments_run_without_the_construction_module(tmp_path):
-    # verify needs only the mask layer, and only a mixed experiment reads a
-    # frame-pair file: neither the import nor a cascade run loads construct
-    bank = tmp_path / "bank.json"
+    # verify needs only the mask layer, and the frame-pair file of a mixed
+    # experiment is read by the mask layer's FramePair: neither the import
+    # nor a cascade or mixed run loads construct
+    bank, pair = tmp_path / "bank.json", tmp_path / "pair.json"
     run(["gen", "haar", "--p", 2, "--out", bank])
-    args = ["experiment", "--kind", "cascade", "--bank", str(bank), "--out", str(tmp_path / "c.json")]
+    run(["pair", "--primal", bank, "--dual", bank, "--seed", 3, "--out", pair])
+    out = str(tmp_path / "experiment.json")
+    cascade = ["experiment", "--kind", "cascade", "--bank", str(bank), "--out", out]
+    mixed = ["experiment", "--kind", "mixed", "--pair", str(pair), "--out", out]
     script = "\n".join([
         "import sys",
         "import framefield.verify",
         "assert 'framefield.construct' not in sys.modules, 'import'",
         "from framefield.cli import main",
-        f"assert main({args!r}) == 0",
+        f"assert main({cascade!r}) == 0",
         "assert 'framefield.construct' not in sys.modules, 'cascade'",
+        f"assert main({mixed!r}) == 0",
+        "assert 'framefield.construct' not in sys.modules, 'mixed'",
     ])
     done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120)

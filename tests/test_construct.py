@@ -169,6 +169,24 @@ def test_paraunitary_rejects_nonunitary(p2):
         Paraunitary(p2, 2, entries)
 
 
+@pytest.mark.parametrize("route", ["_of_block", "_of_entries", "from_json", "from_symbols"])
+def test_every_route_to_a_paraunitary_certifies(p2, route):
+    # diag(2, 1), refused as Paraunitary(params, size, entries) refuses it
+    # above, by each route that makes a matrix from a block, a file or symbols
+    entries = [[{"stride": 2, "coeffs": [[2.0, 0.0]]}, {"stride": 2, "coeffs": []}],
+               [{"stride": 2, "coeffs": []}, {"stride": 2, "coeffs": [[1.0, 0.0]]}]]
+    make = {
+        "_of_block": lambda: Paraunitary._of_block(p2, np.array([[2.0], [0], [0], [1]], complex)),
+        "_of_entries": lambda: Paraunitary._of_entries(p2, [*entries[0], *entries[1]]),
+        "from_json": lambda: Paraunitary.from_json(
+            {"field": p2.to_json(), "size": 2, "entries": entries}),
+        "from_symbols": lambda: Paraunitary.from_symbols(p2, np.diag([2.0, 1.0])[None]),
+    }[route]
+    with pytest.raises(ConstructionError, match="^matrix is not paraunitary") as info:
+        make()
+    assert info.value.report.condition == "paraunitary" and not info.value.report.passed
+
+
 def test_paraunitary_json_roundtrip(p2):
     a = seeded_paraunitary(p2, 2, seed=13)
     again = Paraunitary.from_json(a.to_json())

@@ -371,3 +371,11 @@ def test_report_json(p2, haar2):
     assert obj["condition"] == "uep"
     assert obj["worst_point"]["v"] == 0 or obj["worst_point"]["digits"] is not None
     assert isinstance(obj["max_deviation"], float)
+    # the verdict is the report's own rule, max_deviation <= tolerance, and
+    # no argument can set it: a NaN deviation fails
+    for deviation, passed in ((0.5, True), (1.0, True), (1.5, False), (math.nan, False)):
+        report = CheckReport("c", 1, deviation, 1.0, None)
+        assert report.passed is passed and report.to_json()["pass"] is passed
+        assert str(report).startswith("[PASS]" if passed else "[FAIL]")
+    with pytest.raises(TypeError):
+        CheckReport("c", 1, 0.0, 1.0, None, passed=False)
