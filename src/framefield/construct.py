@@ -38,6 +38,7 @@ from .mask import (
     _grid_transform,
     _trimmed_columns,
     DEFAULT_MATRIX_TOL,
+    GRAM_BLOCK,
 )
 
 GRAM_SCHMIDT_RETRIES = 8
@@ -97,13 +98,14 @@ class Paraunitary(CoefficientBlock):
         dev = gram_deviation(self.symbols(depth).transpose(1, 0, 2))
         return sweep_report("paraunitary", depth, depth, dev, tol, self.params)
 
-    def symbols(self, depth: int) -> np.ndarray:
-        """Entry symbols at the depth-s coset representatives, (R, size, size):
-        the block's values at t*x for x on the depth-(s-1) grid, from one
-        transform of the whole block."""
-        table = _grid_transform(self.params, self.coeffs, depth - 1)
+    def symbols(self, depth: int, columns: slice = slice(None)) -> np.ndarray:
+        """Symbols of the entries in ``columns`` at the depth-s coset
+        representatives, (R, size, columns): the block's values at t*x for x
+        on the depth-(s-1) grid, from one transform of those entries' rows."""
+        rows = self.coeffs.reshape(self.size, self.size, -1)[:, columns]
+        table = _grid_transform(self.params, rows.reshape(-1, rows.shape[2]), depth - 1)
         table *= math.sqrt(self.params.q)
-        return table.reshape(self.size, self.size, -1).transpose(2, 0, 1)
+        return table.reshape(rows.shape[0], rows.shape[1], -1).transpose(2, 0, 1)
 
     @classmethod
     def from_symbols(cls, params: FieldParams, symbols: np.ndarray) -> "Paraunitary":
@@ -215,44 +217,55 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
     At most two delay factors, so symbol supports stay small enough for the
     default experiment signal sizes.  The factors are multiplied as symbol
     samples at the coset representatives, and the product is transformed
-    back and certified once.
+    back in place and certified once.
     """
-    return Paraunitary.from_symbols(params, _seeded_symbols(params, size, seed))
+    block = _trimmed_columns(coefficient_rows(params, _seeded_rows(params, size, seed)))
+    return Paraunitary._of_block(params, block)  # certified once the untrimmed rows are freed
 
 
-def _seeded_symbols(params: FieldParams, size: int, seed: int) -> np.ndarray:
-    """The factor product of :func:`seeded_paraunitary` at the depth-2 coset
-    representatives, (q, size, size)."""
+def _seeded_rows(params: FieldParams, size: int, seed: int) -> np.ndarray:
+    """The factor product of :func:`seeded_paraunitary` at the q depth-2
+    coset representatives as entry rows, (size * size, q), row i*size + j
+    entry (i, j).  It is formed for one block of representatives at a time
+    (a batched product is one GEMM per representative) straight into the rows."""
+    first = _seeded_unitary(size, 0xC0, seed)  # which checks the size first
     rng = np.random.default_rng([0x9A, seed])
+    positions = [int(rng.integers(size)) for _ in range(int(rng.integers(1, 3)))]
+    unitaries = [_seeded_unitary(size, 0xC0, seed + step + 1) for step in range(len(positions))]
     # the unit delay reaches index q, and carry-free products stay on the
     # grid that covers their factors: every factor is sampled at depth 2,
     # whose coset representatives t*x read the delay's raw coefficients at x
     delay = _grid_transform(params, np.array([[0, 1]], dtype=np.complex128), 1)[0]
     delay *= math.sqrt(params.q)
-    prod = np.repeat(_seeded_unitary(size, 0xC0, seed)[None], len(delay), axis=0)
-    for step in range(int(rng.integers(1, 3))):
-        position = int(rng.integers(size))
-        prod[:, :, position] *= delay[:, None]  # times delay_block(params, size, position, 1)
-        prod = prod @ _seeded_unitary(size, 0xC0, seed + step + 1)
-    return prod
+    rows = np.empty((size * size, len(delay)), dtype=np.complex128)
+    step = max(1, GRAM_BLOCK // (size * size))  # representatives per block
+    for start in range(0, len(delay), step):
+        shifts = delay[start : start + step, None]
+        prod = np.repeat(first[None], len(shifts), axis=0)
+        for position, unitary in zip(positions, unitaries):
+            prod[:, :, position] *= shifts  # times delay_block(params, size, position, 1)
+            prod = prod @ unitary
+        rows[:, start : start + len(shifts)] = prod.reshape(len(shifts), -1).T
+    return rows
 
 
-def _product_symbols(matrix: Paraunitary, bank: FilterBank):
+def _product_symbols(matrix: Paraunitary, bank: FilterBank, columns: slice = slice(None)):
     """Samples for products of matrix entries with the wavelets of ``bank``
-    on the grid that covers both: entry symbols at the coset
-    representatives, (R, size, size), and wavelet symbols, (L, R, q).  The
-    wavelet rows keep their own width, so a wider m0 cannot deepen the grid."""
+    on the grid that covers both: symbols of the entries in ``columns`` at
+    the coset representatives, (R, size, columns), and wavelet symbols,
+    (L, R, q).  The wavelet rows keep their own width, so a wider m0 cannot
+    deepen the grid."""
     params, wavelets = matrix.params, _trimmed_columns(bank.coeffs[1:])
     depth = covering_depth(max(matrix.max_index, wavelets.shape[1] - 1), params.q)
-    return matrix.symbols(depth), coset_values(params, wavelets, depth) * math.sqrt(params.q)
+    return matrix.symbols(depth, columns), coset_values(params, wavelets, depth) * math.sqrt(params.q)
 
 
 def _mix_wavelets(matrix: Paraunitary, column_offset: int, bank: FilterBank) -> FilterBank:
     """The bank whose wavelet k is sum_l entries[k][column_offset+l] * wavelet
-    l of ``bank``, scaling mask unchanged."""
-    entries, values = _product_symbols(matrix, bank)
-    block = entries[:, :, column_offset : column_offset + bank.n_wavelets]
-    out = np.einsum("Rkl,lRa->kRa", block, values).reshape(matrix.size, -1)
+    l of ``bank``, scaling mask unchanged; only those L columns are transformed."""
+    columns = slice(column_offset, column_offset + bank.n_wavelets)
+    entries, values = _product_symbols(matrix, bank, columns)
+    out = np.einsum("Rkl,lRa->kRa", entries, values).reshape(matrix.size, -1)
     wavelets = block_masks(bank.params, coefficient_rows(bank.params, out), [1] * matrix.size)
     return FilterBank(bank.params, bank.m0, wavelets)
 

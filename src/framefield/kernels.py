@@ -7,7 +7,8 @@ Kronecker power of that table, and ``character_transform`` evaluates a
 batch of coefficient rows on the whole grid with e small matrix products
 (the Chrestenson / Vilenkin fast generalized-Walsh transform, after
 I. J. Good's Kronecker factorization): O(M e q^(e+1)) time for M rows.  It
-overwrites the rows it is given and needs one scratch array of their size.
+overwrites the rows it is given, one block of rows at a time, and needs
+one scratch array of a block's size.
 
 ``exponent_table`` and ``conj_char_matrix`` build that q-by-q table from
 the field's c-by-c Hankel form M, as the c-fold Kronecker power of the
@@ -57,27 +58,36 @@ def synthesis_apply(coeffs: np.ndarray, branches: np.ndarray, idx: np.ndarray, n
     return out
 
 
-def character_transform(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def character_transform(x: np.ndarray, factor: np.ndarray, block: int) -> np.ndarray:
     """Overwrite x with out[:, j'] = sum_j x[:, j] * prod_d factor[j_d, j'_d]
     and return it.
 
     ``x`` is a C-contiguous (M, q^e) complex array and ``factor`` is
     q-by-q; j_d and j'_d are the base-q digits of the column indices, the
-    power-0 digit cycling fastest.  Each step contracts the lowest remaining
-    index digit (the last axis) with one matrix product into a scratch
-    array, then copies the result back with the point digit it yields
-    rotated to the front, so after e steps x is in grid order.
+    power-0 digit cycling fastest.  Rows are independent, so they go in
+    blocks of near max(``block``, q^2) values (a product packs the q^2
+    factor on every call) through one scratch array of a block's size.
+    Each step contracts the lowest remaining index digit (the last axis)
+    with one matrix product into the scratch, then copies the result back
+    with the point digit it yields rotated to the front, so after e steps x
+    is in grid order.  A block holds all M rows or max(block, q^2) // n at
+    least, so its products have q rows or as many as unblocked ones: BLAS
+    takes its one-row (matrix-vector) route only where M = 1 does too.
     """
     if not x.flags.c_contiguous:
         raise ValueError("the character transform works in place on a C-contiguous array")
     m, n = x.shape
     q = factor.shape[0]
-    scratch = np.empty_like(x)
-    size = 1
-    while size < n:
-        np.matmul(x.reshape(-1, q), factor, out=scratch.reshape(-1, q))
-        x.reshape(m, q, -1)[...] = scratch.reshape(m, -1, q).transpose(0, 2, 1)
-        size *= q
+    count = max(m // max(max(block, q * q) // n, 1), 1)
+    bounds = [m * i // count for i in range(count + 1)]
+    scratch = np.empty(-(-m // count) * n, dtype=x.dtype)
+    for start, stop in zip(bounds, bounds[1:]):
+        rows, part, out = stop - start, x[start:stop], scratch[: (stop - start) * n]
+        size = 1
+        while size < n:  # explicit sizes, so that a block of no rows reshapes too
+            np.matmul(part.reshape(rows * n // q, q), factor, out=out.reshape(rows * n // q, q))
+            part.reshape(rows, q, n // q)[...] = out.reshape(rows, n // q, q).transpose(0, 2, 1)
+            size *= q
     return x
 
 

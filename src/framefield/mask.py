@@ -33,7 +33,8 @@ DEFAULT_CASCADE_TOL = 1e-8
 # coefficients the symbol-domain algebra leaves below this are rounding
 TRIM_CUTOFF = 1e-14
 # complex values per block of a Gram sweep's temporaries (the conjugated
-# columns and the Grams), and entries per block of the character factor's
+# columns and the Grams), of the character transform's scratch and of the
+# trim's magnitudes, and entries per block of the character factor's
 # exponents: a few hundred kB whatever the grid
 GRAM_BLOCK = 2 ** 14
 # character factors kept at once: a command uses one field, and a caller
@@ -455,14 +456,14 @@ def spectrum(params: FieldParams, coeffs: np.ndarray) -> np.ndarray:
     sum_j coeffs[:, j] * conj chi_j(x) over the depth-e grid point x.
     ``coeffs`` must be a C-contiguous complex array; the values overwrite
     it, and it is returned."""
-    return kernels.character_transform(coeffs, _character_factor(params))
+    return kernels.character_transform(coeffs, _character_factor(params), GRAM_BLOCK)
 
 
 def from_spectrum(params: FieldParams, values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`spectrum`, in place in ``values`` as well."""
     # F is sqrt(q) times a unitary table, so F**-1 = conj(F).T / q
     inverse = np.conj(_character_factor(params)).T / params.q
-    return kernels.character_transform(values, inverse)
+    return kernels.character_transform(values, inverse, GRAM_BLOCK)
 
 
 def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndarray:
@@ -514,9 +515,13 @@ def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
     """Inverse of sqrt(q) * _grid_transform: coefficient rows from their
     symbols on the depth-e grid, (M, q**e), with those below TRIM_CUTOFF
     zeroed.  The coefficients overwrite ``symbols``, a C-contiguous array
-    the caller gives up, and it is returned."""
+    the caller gives up, and it is returned; the trim takes GRAM_BLOCK of
+    them at a time through one array of their magnitudes."""
     coeffs = from_spectrum(params, symbols)
-    coeffs[np.abs(coeffs) < TRIM_CUTOFF] = 0
+    flat, mags = coeffs.reshape(-1), np.empty(min(coeffs.size, GRAM_BLOCK))
+    for start in range(0, flat.size, GRAM_BLOCK):
+        part = flat[start : start + GRAM_BLOCK]
+        part[np.abs(part, out=mags[: len(part)]) < TRIM_CUTOFF] = 0
     return coeffs
 
 
@@ -605,7 +610,8 @@ def coset_values(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndar
     """Values of stride-1 block rows on the depth-s grid, (M, q^(s-1), q):
     entry [l, r, a] is row l at coset representative r plus a at power 0,
     so [:, r, :] is the modulation matrix at r up to a column permutation."""
-    return _grid_transform(params, coeffs, depth).reshape(len(coeffs), -1, params.q)
+    q = params.q  # explicit sizes, so that a block of no rows reshapes too
+    return _grid_transform(params, coeffs, depth).reshape(len(coeffs), q ** (depth - 1), q)
 
 
 def blocked_gram(a: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:

@@ -225,6 +225,19 @@ def test_pair_rejects_banks_without_wavelets(tmp_path, capsys, p2, haar2):
     assert not out.exists()
 
 
+def test_verify_mixed_on_banks_without_wavelets_sweeps_an_empty_cross_gram(tmp_path, capsys,
+                                                                          p2, haar2):
+    # no wavelet rows on either side: the cross Gram is empty, so it vanishes everywhere
+    bank = tmp_path / "m0_only.json"
+    bank.write_text(json.dumps(FilterBank(p2, haar2.m0, ()).to_json()))
+    report = tmp_path / "report.json"
+    assert run(["verify", bank, "--checks", "mixed", "--dual", bank, "--out", report]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (mixed,) = load(report)["reports"]
+    assert mixed["condition"] == "mixed_orthogonality"
+    assert mixed["pass"] and mixed["max_deviation"] == 0.0
+
+
 # a bank that cannot be paired with a GF(2) Haar bank, and FramePair's message
 MISMATCHED_DUALS = pytest.mark.parametrize("dual, message", [
     ("haar3", "pair members must share field parameters"),

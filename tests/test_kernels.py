@@ -4,18 +4,20 @@ its identities at fields past that route's reach."""
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from framefield import kernels
+from framefield import kernels, mask
 from framefield.construct import seeded_paraunitary
 from framefield.galois import FieldParams, _is_irreducible, field_tables
 from framefield.localfield import FieldElement, grid_point, index_add
 from framefield.mask import (
     FACTOR_CACHE,
+    GRAM_BLOCK,
     FilterBank,
     Mask,
     _character_factor,
@@ -49,7 +51,7 @@ def test_character_transform_is_kronecker_power(rng, q, e):
     dense = np.ones((1, 1))
     for _ in range(e):
         dense = np.kron(factor, dense)
-    out = kernels.character_transform(coeffs.copy(), factor)
+    out = kernels.character_transform(coeffs.copy(), factor, GRAM_BLOCK)
     assert np.allclose(out, coeffs @ dense, atol=1e-12, rtol=0)
 
 
@@ -116,7 +118,7 @@ def test_in_place_transform_is_bit_identical(q, e, rows, inverse, seed):
         part[rng.random(x.shape) < 0.2] = 0.0
         part[rng.random(x.shape) < 0.2] = -0.0
     want = np.ascontiguousarray(reference_character_transform(x.copy(), factor))
-    got = kernels.character_transform(x, factor)
+    got = kernels.character_transform(x, factor, GRAM_BLOCK)
     assert np.shares_memory(got, x)
     # bit patterns, so that the sign of every zero must match too
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -126,7 +128,58 @@ def test_transform_rejects_arrays_it_cannot_overwrite(rng):
     factor = _character_factor(FieldParams(2, 1))
     x = rng.standard_normal((4, 3)) + 0j
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.character_transform(x.T, factor)
+        kernels.character_transform(x.T, factor, GRAM_BLOCK)
+
+
+@given(
+    q=st.sampled_from(sorted(TRANSFORM_FIELDS)),
+    e=st.integers(0, 4),
+    rows=st.integers(1, 20),
+    block=st.integers(1, 200),
+    inverse=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# a budget of one value gives one row per block from e = 2 on; at e = 1 a
+# block holds q rows, so that with 9 + 1 rows the last product would have
+# one row: BLAS's matrix-vector route, which the unblocked product of ten
+# rows does not take
+@example(q=2, e=1, rows=5, block=1, inverse=False, seed=0)
+@example(q=9, e=1, rows=10, block=1, inverse=True, seed=1)
+@example(q=3, e=3, rows=7, block=1, inverse=False, seed=2)
+def test_blocked_transform_is_bit_identical(q, e, rows, block, inverse, seed):
+    # transform rows are independent, so any split into blocks gives the
+    # values of one unblocked product per digit, bit for bit
+    params = FieldParams(*TRANSFORM_FIELDS[q])
+    factor = _character_factor(params)
+    if inverse:
+        factor = np.conj(factor).T / q  # the factor from_spectrum uses
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, q ** e)) + 1j * rng.standard_normal((rows, q ** e))
+    want = np.ascontiguousarray(reference_character_transform(x.copy(), factor))
+    with mock.patch.object(mask, "GRAM_BLOCK", block):
+        got = (from_spectrum if inverse else spectrum)(params, x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("e", [0, 1, 3])
+def test_transform_of_no_rows_is_empty(e):
+    factor = _character_factor(FieldParams(2, 1))
+    out = kernels.character_transform(np.empty((0, 2 ** e), dtype=np.complex128), factor, 1)
+    assert out.shape == (0, 2 ** e)
+
+
+def test_transform_scratch_is_one_block():
+    # 16 MB of rows: an unblocked scratch array would be a second 16 MB
+    factor = _character_factor(FieldParams(2, 4))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096))
+    tracemalloc.start()
+    try:
+        kernels.character_transform(x, factor, GRAM_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * GRAM_BLOCK + 2 ** 14, peak
 
 
 @given(
@@ -186,8 +239,8 @@ def test_inverse_transform_recovers_coefficients(rng, p, c, e):
     q = p ** c
     factor = character_table(FieldParams(p, c)) * math.sqrt(q)
     coeffs = rng.standard_normal((3, q ** e)) + 1j * rng.standard_normal((3, q ** e))
-    values = kernels.character_transform(coeffs.copy(), factor)
-    back = kernels.character_transform(values, np.conj(factor).T / q)
+    values = kernels.character_transform(coeffs.copy(), factor, GRAM_BLOCK)
+    back = kernels.character_transform(values, np.conj(factor).T / q, GRAM_BLOCK)
     assert np.abs(back - coeffs).max() <= 1e-13
 
 
