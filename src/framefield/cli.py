@@ -340,19 +340,19 @@ def _float_reprs(column: np.ndarray) -> list:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """One data line per entry of ``rows``, a list or an array of floats or
-    complex numbers: its index, then the value, a complex one as its real
-    and imaginary parts.  Floats print as ``repr`` and every line ends in
+    """One data line per entry of ``rows``, a sized sequence of floats or
+    complex numbers whose slices convert to arrays (a list, an array or a
+    ``HatGrid``): its index, then the value, a complex one as its real and
+    imaginary parts.  Floats print as ``repr`` and every line ends in
     \\r\\n, as ``csv.writer`` writes them.  The lines are built and written
-    ``CSV_BLOCK`` at a time."""
-    values = np.asarray(rows)
-    columns = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    ``CSV_BLOCK`` at a time, each block from its own slice of ``rows``."""
     with _open_output(path) as handle:
         handle.write(",".join(header) + "\r\n")
-        for start in range(0, len(values), CSV_BLOCK):
-            stop = min(start + CSV_BLOCK, len(values))
-            fields = [_float_reprs(column[start:stop]) for column in columns]
-            lines = map(",".join, zip(map(str, range(start, stop)), *fields))
+        for start in range(0, len(rows), CSV_BLOCK):
+            values = np.asarray(rows[start:start + CSV_BLOCK])
+            columns = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+            fields = [_float_reprs(column) for column in columns]
+            lines = map(",".join, zip(map(str, range(start, start + len(values))), *fields))
             handle.write("\r\n".join(lines) + "\r\n")
 
 
@@ -398,17 +398,17 @@ def cmd_experiment(args) -> int:
         report, sums = partition_of_unity_check(hat, trials, tol)
         _write_csv(csv_path, ("base_index", "sum"), sums)
         return _finish(out, {"reports": [report.to_json()], "provenance": provenance}, [report])
-    _write_csv(csv_path, ("index", "re", "im"), hat.values)
+    _write_csv(csv_path, ("index", "re", "im"), hat)  # computed block by block as written
     payload = {
         "kind": "cascade",
         "stabilized_at": hat.stabilized_at,
         "j_neg": hat.j_neg,
         "j_pos": hat.j_pos,
-        "points": len(hat.values),
+        "points": len(hat),
         "provenance": provenance,
     }
     _write_json(out, payload)
-    print(f"cascade sampled on {len(hat.values)} points, stabilized at {hat.stabilized_at}")
+    print(f"cascade sampled on {len(hat)} points, stabilized at {hat.stabilized_at}")
     return EXIT_OK
 
 

@@ -10,6 +10,8 @@ handling anywhere.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .localfield import FieldElement, check_grid_points
 from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
+    GRAM_BLOCK,
     CheckReport,
     FilterBank,
     FramePair,
@@ -42,19 +45,37 @@ class HatGrid:
     """Samples of a hat function on the ball |x| <= q**j_neg at resolution
     q**-j_pos.  Point h has digit (h // q**i) % q at power i - j_neg, so the
     lowest power cycles fastest and index 0 is the origin.
+
+    ``samples`` is the values, or a call giving those of points start..stop-1
+    as a new read-only array: a slice then computes its points alone, and
+    ``values`` computes them all when first read.
     """
 
     params: FieldParams
     j_neg: int
     j_pos: int
-    values: np.ndarray
+    samples: np.ndarray | Callable[[int, int], np.ndarray]
     stabilized_at: int | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.shape != (self.params.q ** (self.j_neg + self.j_pos),):
-            raise ParameterError("hat grid values have the wrong length")
-        object.__setattr__(self, "values", frozen(values))
+        if not callable(self.samples):
+            values = np.asarray(self.samples, dtype=np.complex128)
+            if values.shape != (self.params.q ** self.width,):
+                raise ParameterError("hat grid values have the wrong length")
+            object.__setattr__(self, "samples", frozen(values))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.samples(0, len(self)) if callable(self.samples) else self.samples
+
+    def __len__(self) -> int:
+        return self.params.q ** self.width
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        if callable(self.samples) and index.step in (None, 1):
+            start, stop, _ = index.indices(len(self))
+            return self.samples(start, max(start, stop))
+        return self.values[index]
 
     @property
     def width(self) -> int:
@@ -119,9 +140,10 @@ def cascade_phihat(
 
     Factors become identically 1 once t**j x lands deep enough in the ring
     of integers for every grid point; the first such j is recorded as
-    ``stabilized_at`` (the product is exact from there on).  The factors
-    multiply in one block of ``CASCADE_BLOCK`` hat points at a time, so the
-    values are the only array of the window's size.
+    ``stabilized_at`` (the product is exact from there on).  The grid keeps
+    m0's table: a slice multiplies the factors for one block of
+    ``CASCADE_BLOCK`` of its points at a time, so the window is held whole
+    only once ``values`` is read.
     """
     if iterations < 1:
         raise ParameterError(f"cascade iterations must be at least 1, got {iterations}")
@@ -138,15 +160,19 @@ def cascade_phihat(
     # m0(t**j x) reads the table at shift j - j_neg; once that shift reaches
     # the support depth (at once on an empty window) every factor is m0(0)
     last = support_depth + j_neg - 1 if width else 0
-    values = np.ones(q ** width, dtype=np.complex128)
-    for start in range(0, len(values), CASCADE_BLOCK):
-        block = values[start:start + CASCADE_BLOCK]
-        h = np.arange(start, start + len(block), dtype=np.int64)
-        for j in range(1, min(iterations, last) + 1):
-            block *= table[_dilated_index(h, j - j_neg, q, support_depth)]
-    values.flags.writeable = False
+
+    def samples(start: int, stop: int) -> np.ndarray:
+        values = np.ones(stop - start, dtype=np.complex128)
+        for at in range(start, stop, CASCADE_BLOCK):
+            block = values[at - start:at - start + CASCADE_BLOCK]
+            h = np.arange(at, at + len(block), dtype=np.int64)
+            for j in range(1, min(iterations, last) + 1):
+                block *= table[_dilated_index(h, j - j_neg, q, support_depth)]
+        values.flags.writeable = False
+        return values
+
     stabilized_at = last + 1 if last < iterations else None
-    return HatGrid(params, j_neg, j_pos, values, stabilized_at=stabilized_at)
+    return HatGrid(params, j_neg, j_pos, samples, stabilized_at=stabilized_at)
 
 
 def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
@@ -223,12 +249,22 @@ def _component_symbols(bank: FilterBank, n: int) -> np.ndarray:
 def _symbol_product(params: FieldParams, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Inverse transform of table[x mod R] @ (transforms of ``rows`` at x)
     for every point x, R = len(table): one matrix product per x mod R.
-    ``rows`` is only read; both transforms run in arrays made here."""
-    spectra = spectrum(params, np.array(rows, dtype=np.complex128, order="C"))
-    m, n = spectra.shape
-    products = table @ spectra.reshape(m, -1, len(table)).transpose(2, 0, 1)
-    del spectra
-    return from_spectrum(params, np.ascontiguousarray(products.transpose(1, 2, 0).reshape(-1, n)))
+    ``rows`` is only read.  One buffer holds the transform of ``rows``, then
+    the products, written over it for about ``GRAM_BLOCK`` values of
+    residues x mod R at a time, then their inverse transform, which is
+    returned as a view of the buffer's first rows."""
+    (m, n), (r, k) = rows.shape, table.shape[:2]
+    buffer = np.empty((max(k, m), n), dtype=np.complex128)
+    buffer[:m] = rows
+    # column r*i + j of both arrays is column (i, j) of these views
+    spectra = spectrum(params, buffer[:m]).reshape(m, -1, r)
+    products = buffer[:k].reshape(k, -1, r)
+    step = max(1, GRAM_BLOCK * r // (len(buffer) * n))
+    for j in range(0, r, step):
+        part = table[j:j + step] @ spectra[..., j:j + step].transpose(2, 0, 1)
+        products[..., j:j + step] = part.transpose(1, 2, 0)
+    del part  # with R = 1 it is as large as the products
+    return from_spectrum(params, buffer[:k])
 
 
 def analysis_step(signal: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -341,8 +377,11 @@ def mixed_frame_experiment(
     def ratio(v):
         stack = list(_analysis_cascade(v, pair.primal, levels))
         r = np.zeros(stack[-1].shape[1], dtype=np.complex128)
-        for branches in reversed(stack):
-            r = synthesis_step(np.vstack([r[None, :], branches[1:]]), pair.dual)
+        while stack:
+            # the synthesis of the level below replaces the scaling branch
+            branches = stack.pop()
+            branches[0] = r
+            r = synthesis_step(branches, pair.dual)
         return float(np.linalg.norm(r) / np.linalg.norm(v))
 
     banks = [("primal", pair.primal), ("dual", pair.dual)]

@@ -1,17 +1,18 @@
-"""Test-only constructions: seeded random banks, delta and scaled masks, the
-reference shifted-column gather of the quotient sweep, the allocating
-character transform, the per-mask adjoint, the add and mul tables of digit
-codes, and the GF(q) and local-field elements that no program path needs."""
+"""Test-only constructions: seeded random banks, long frame pairs, delta
+and scaled masks, the reference shifted-column gather of the quotient
+sweep, the allocating character transform, the per-mask adjoint, the add
+and mul tables of digit codes, and the GF(q) and local-field elements that
+no program path needs."""
 
 import functools
 
 import numpy as np
 
-from framefield.construct import _seeded_unitary
+from framefield.construct import _seeded_unitary, haar_bank
 from framefield.errors import ParameterError
 from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, index_add, index_sub
-from framefield.mask import FilterBank, Mask
+from framefield.mask import FilterBank, FramePair, Mask
 from framefield.reference import GFElem, gf_from_digit, gf_mul, gf_one, lf_mul
 
 
@@ -40,6 +41,31 @@ def random_bank(
         coeffs = coeffs + noise * bump
     masks = [Mask(params, coeffs[l]) for l in range(q)]
     return FilterBank(params, masks[0], tuple(masks[1:]))
+
+
+def long_pair(params: FieldParams, delay: int, seed: int) -> FramePair:
+    """An orthogonal pair of long masks, built as the benchmark's ``longpair``
+    input is: in two banks of Haar rows, polyphase component r of every
+    mask moves to slot q*d_r + r (d_r seeded, the last one ``delay``), and
+    the wavelets mix through the two halves of the columns of a seeded
+    constant 2L x 2L unitary.  The masks are q*delay + q long."""
+    q = params.q
+    rows = np.array([m.coeffs for m in haar_bank(params).masks])
+    banks = []
+    for key in (seed, seed + 1):
+        delays = np.random.default_rng([0x10, key, q]).integers(0, delay + 1, size=q)
+        delays[-1] = delay
+        coeffs = np.zeros((q, q * delay + q), dtype=np.complex128)
+        for r in range(q):
+            coeffs[:, q * int(delays[r]) + r] = rows[:, r]
+        banks.append(coeffs)
+    mixing = _seeded_unitary(2 * (q - 1), 0xA1, seed)
+    halves = []
+    for coeffs, columns in zip(banks, (slice(0, q - 1), slice(q - 1, None))):
+        wavelets = mixing[:, columns] @ coeffs[1:]
+        halves.append(FilterBank(params, Mask(params, coeffs[0]),
+                                 tuple(Mask(params, row) for row in wavelets)))
+    return FramePair(*halves)
 
 
 def delta_mask(params: FieldParams, value: complex = 1.0, slot: int = 0, stride: int = 1) -> Mask:

@@ -13,12 +13,15 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import framefield
-from framefield import galois, reference
+from framefield import cli, galois, reference
 from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
 from framefield.construct import (
     constant_paraunitary,
@@ -36,7 +39,7 @@ from framefield.mask import (
     mask_values_on_grid,
     zero_mask,
 )
-from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
+from framefield.verify import CASCADE_BLOCK, cascade_phihat, parseval_experiment, partition_sums
 
 from helpers import mask_scale, random_bank
 
@@ -788,6 +791,77 @@ def test_write_csv_memory_is_one_block(tmp_path, haar2):
     assert peak <= 2 * 2 ** 20
 
 
+class _Blocks:
+    """A sized sequence of values held as separate blocks: a slice is put
+    together from the blocks it crosses, as a new array."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.starts = np.cumsum([0, *map(len, blocks)])
+
+    def __len__(self):
+        return int(self.starts[-1])
+
+    def __getitem__(self, index):
+        start, stop, _ = index.indices(len(self))
+        parts = [block[max(start - at, 0):max(stop - at, 0)]
+                 for block, at in zip(self.blocks, self.starts)]
+        return np.concatenate([part for part in parts if len(part)] or [self.blocks[0][:0]])
+
+
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324]))
+
+
+@given(
+    reals=st.lists(CSV_FLOATS, min_size=1, max_size=40),
+    data=st.data(),
+    is_complex=st.booleans(),
+    csv_block=st.integers(1, 5),
+)
+def test_write_csv_from_blocks_matches_the_whole_array(tmp_path_factory, reals, data, is_complex,
+                                                       csv_block):
+    values = np.array(reals)
+    header = ("k", "v")
+    if is_complex:
+        imags = data.draw(st.lists(CSV_FLOATS, min_size=len(reals), max_size=len(reals)))
+        values = np.empty(len(reals), dtype=np.complex128)  # keeps inf and -0.0 apart
+        values.real, values.imag = reals, imags
+        header = ("k", "re", "im")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=4)))
+    blocks = _Blocks([values[a:b] for a, b in zip([0, *cuts], [*cuts, len(values)])])
+    tmp = tmp_path_factory.mktemp("csv")
+    _write_csv(tmp / "whole.csv", header, values)
+    for size in (1, csv_block):
+        with mock.patch.object(cli, "CSV_BLOCK", size):
+            _write_csv(tmp / "blocks.csv", header, blocks)
+        assert (tmp / "blocks.csv").read_bytes() == (tmp / "whole.csv").read_bytes()
+
+
+def _cascade_command_peak(tmp_path, bank, hat_neg, hat_pos):
+    out = tmp_path / f"cascade-{hat_neg}-{hat_pos}.json"
+    tracemalloc.start()
+    try:
+        assert run(["experiment", "--kind", "cascade", "--bank", bank, "--levels", 12,
+                    "--hat-neg", hat_neg, "--hat-pos", hat_pos, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.with_suffix(".csv").read_text().splitlines()) == 2 ** (hat_neg + hat_pos) + 1
+    return peak
+
+
+def test_cascade_command_memory_does_not_grow_with_the_window(tmp_path):
+    # the CSV is computed as it is written, CSV_BLOCK hat points at a time:
+    # a window four times larger (4 MB of values more, were they held)
+    # costs less than one cascade block of values (512 kB) more
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    _cascade_command_peak(tmp_path, bank, 2, 2)  # field tables and imports
+    small = _cascade_command_peak(tmp_path, bank, 8, 8)
+    large = _cascade_command_peak(tmp_path, bank, 8, 10)
+    assert abs(large - small) < CASCADE_BLOCK * 16
+
+
 def test_experiment_missing_input(tmp_path):
     assert run(["experiment", "--kind", "parseval", "--out", tmp_path / "x.json"]) == 2
 
@@ -1096,11 +1170,19 @@ def test_benchmark_tracer_runs_a_cli_op(tmp_path, p2):
     bank, pu = tmp_path / "bank.json", tmp_path / "pu.json"
     run(["gen", "haar", "--p", 2, "--out", bank])
     pu.write_text(json.dumps(seeded_paraunitary(p2, 2, seed=1).to_json()))
+    signal = ["--signal-size", 4, "--levels", 2, "--trials", 3]
     ops = {
         "verify": ["verify", bank, "--out", tmp_path / "r.json"],
         "pair": ["pair", "--primal", bank, "--dual", bank, "--out", tmp_path / "pair.json"],
         "family": ["family", "--bank", bank, "--paraunitary", pu, "--out-dir", tmp_path / "family"],
+        # the tracer reads len() of the rows passed to _write_csv and the
+        # stabilized_at of the cascade's result
+        "cascade": ["experiment", "--kind", "cascade", "--bank", bank, "--levels", 6,
+                    "--out", tmp_path / "cascade.json"],
+        "mixed": ["experiment", "--kind", "mixed", "--pair", tmp_path / "pair.json", *signal,
+                  "--out", tmp_path / "mixed.json"],
     }
+    counts = {}
     for name, args in ops.items():
         spans = tmp_path / f"{name}.npz"
         done = subprocess.run(
@@ -1108,7 +1190,13 @@ def test_benchmark_tracer_runs_a_cli_op(tmp_path, p2):
             env=_child_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, (name, done.stderr)
-        assert spans.is_file()
+        with np.load(spans) as saved:
+            counts[name] = json.loads(str(saved["counts"]))
+    cascade = load(tmp_path / "cascade.json")
+    assert counts["cascade"]["cli.write_csv.rows"] == cascade["points"] == 2 ** 5
+    assert counts["cascade"]["verify.cascade.factors"] == cascade["stabilized_at"] - 1 > 0
+    assert counts["mixed"]["cli.write_csv.rows"] == 3
+    assert counts["mixed"]["verify.signal_samples"] == 3 * 2 ** 4
 
 
 def test_experiments_run_without_the_construction_module(tmp_path):

@@ -2,13 +2,15 @@
 
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from framefield import kernels
+from framefield import kernels, verify
 from framefield.construct import (
     FramePair,
     compose,
@@ -20,7 +22,7 @@ from framefield.construct import (
 from framefield.errors import ConstructionError, CoverageError, DepthError, ParameterError
 from framefield.galois import FieldParams
 from framefield.localfield import FieldElement, index_add
-from framefield.mask import FilterBank, Mask, check_uep, zero_mask
+from framefield.mask import FilterBank, Mask, check_uep, mask_values_on_grid, zero_mask
 from framefield.reference import cascade_value, eval_mask, fe_prime_power, fe_zero, u_map
 from framefield.verify import (
     HatGrid,
@@ -36,7 +38,7 @@ from framefield.verify import (
     synthesis_step,
 )
 
-from helpers import mask_scale, random_bank
+from helpers import long_pair, mask_scale, random_bank
 
 SQRT2 = math.sqrt(2.0)
 
@@ -283,6 +285,85 @@ def test_energy_monotonicity(p2, haar2, rng):
         if dropped < full:
             reduced += 1
     assert reduced >= 95
+
+
+INPUT_FIELDS = [(2, 1), (3, 1), (2, 2)]
+
+
+def _transform_banks(params, seed, delay):
+    """A bank of q masks, the two banks of a derived pair (2L + 1 masks
+    each), and, past GF(2), a bank of two masks: tables with as many rows
+    as the signal components, more and fewer."""
+    primal = random_bank(params, seed, max_delay=delay)
+    matrix = seeded_paraunitary(params, 2 * primal.n_wavelets, seed)
+    pair = derive_pair(primal, random_bank(params, seed + 1, max_delay=delay), matrix)
+    banks = [primal, pair.primal, pair.dual]
+    if params.q > 2:
+        banks.append(FilterBank(params, primal.m0, primal.wavelets[:1]))
+    return banks, pair
+
+
+@given(field=st.sampled_from(INPUT_FIELDS), seed=st.integers(0, 2 ** 16),
+       delay=st.integers(0, 2), levels=st.integers(1, 2))
+def test_transforms_and_experiments_leave_their_inputs_unchanged(field, seed, delay, levels):
+    params = FieldParams(*field)
+    q = params.q
+    banks, pair = _transform_banks(params, seed, delay)
+    m0 = mask_scale(banks[0].m0, 1 / mask_values_on_grid([banks[0].m0], 1)[0, 0])
+    size = levels + 3  # the deepest level still covers supports of 3q
+    rng = np.random.default_rng(seed)
+    signal = random_signal(params, size, rng)
+    signal[::7] = -0.0
+    arrays = [signal, m0.coeffs, *(bank.coeffs for bank in banks),
+              *(mask.coeffs for bank in banks for mask in bank.masks)]
+    branch_sets = [rng.standard_normal((len(bank.masks), q ** (size - 1))) + 0j for bank in banks]
+    arrays += branch_sets
+    before = [a.tobytes() for a in arrays]
+    for bank, branches in zip(banks, branch_sets):
+        analysis_step(signal, bank)
+        synthesis_step(branches, bank)
+    for bank in banks[:3]:
+        parseval_experiment(bank, size, levels, 1, seed=seed, enforce_precondition=False)
+    mixed_frame_experiment(pair, size, levels, 1, seed=seed, enforce_precondition=False)
+    hat = cascade_phihat(m0, 6, 2, 2)
+    assert np.array_equal(hat[0:len(hat)], hat.values)
+    assert [a.tobytes() for a in arrays] == before
+
+
+@given(field=st.sampled_from(INPUT_FIELDS), seed=st.integers(0, 2 ** 16),
+       delay=st.integers(0, 2), block=st.integers(1, 400))
+def test_blocked_symbol_products_are_bit_identical(field, seed, delay, block):
+    # with an unbounded block, every residue goes into one matrix product
+    params = FieldParams(*field)
+    banks, _ = _transform_banks(params, seed, delay)
+    signal = random_signal(params, 4, np.random.default_rng(seed))
+    results = []
+    for gram_block in (2 ** 62, block):
+        with mock.patch.object(verify, "GRAM_BLOCK", gram_block):
+            results.append([np.concatenate([analysis_step(signal, bank).ravel(),
+                                            synthesis_step(analysis_step(signal, bank), bank)])
+                            for bank in banks])
+    for whole, blocked in zip(*results):
+        assert whole.tobytes() == blocked.tobytes()
+
+
+def test_mixed_trial_holds_each_level_once():
+    # masks 2,073 long over GF(3), as in the benchmark's longpair input: the
+    # polyphase table has 729 residues, and a level of 3**9 samples is
+    # 315 kB.  Each level holds its input, its output and one transform
+    # buffer (1.97 MB traced in all); a level that also kept the products
+    # beside the buffer and stacked its branches anew held 2.83 MB.
+    pair = long_pair(FieldParams(3), 690, 1)
+    assert pair.primal.max_index == 2072
+    mixed_frame_experiment(pair, 8, 1, 1, enforce_precondition=False)  # field tables
+    tracemalloc.start()
+    try:
+        report = mixed_frame_experiment(pair, 9, 3, 1, enforce_precondition=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 2.4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
