@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     ConstructionError,
     DepthError,
@@ -55,9 +56,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
-# data lines per block of a CSV file: the formatting temporaries stay at a
-# few hundred kB whatever the length of the series
-CSV_BLOCK = 2 ** 12
 # random signals for parseval and mixed, and translates for partition, when
 # --trials is not given; partition caps it at the q**J points of its ball
 DEFAULT_TRIALS = 20
@@ -345,14 +343,15 @@ def _write_csv(path: Path, header, rows) -> None:
     ``HatGrid``): its index, then the value, a complex one as its real and
     imaginary parts.  Floats print as ``repr`` and every line ends in
     \\r\\n, as ``csv.writer`` writes them.  The lines are built and written
-    ``CSV_BLOCK`` at a time, each block from its own slice of ``rows``."""
+    in blocks of ``kernels.BLOCK_BYTES`` at 64 bytes a line, each block from
+    its own slice of ``rows``."""
     with _open_output(path) as handle:
         handle.write(",".join(header) + "\r\n")
-        for start in range(0, len(rows), CSV_BLOCK):
-            values = np.asarray(rows[start:start + CSV_BLOCK])
+        for block in kernels.blocks(len(rows), 64):
+            values = np.asarray(rows[block])
             columns = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
             fields = [_float_reprs(column) for column in columns]
-            lines = map(",".join, zip(map(str, range(start, start + len(values))), *fields))
+            lines = map(",".join, zip(map(str, range(block.start, block.stop)), *fields))
             handle.write("\r\n".join(lines) + "\r\n")
 
 

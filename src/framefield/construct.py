@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .errors import ConstructionError, ParameterError, SizeError
 from .galois import FieldParams, addressable, json_int
 from .localfield import index_sub
@@ -38,7 +39,6 @@ from .mask import (
     _grid_transform,
     _trimmed_columns,
     DEFAULT_MATRIX_TOL,
-    GRAM_BLOCK,
 )
 
 GRAM_SCHMIDT_RETRIES = 8
@@ -226,8 +226,9 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
 def _seeded_rows(params: FieldParams, size: int, seed: int) -> np.ndarray:
     """The factor product of :func:`seeded_paraunitary` at the q depth-2
     coset representatives as entry rows, (size * size, q), row i*size + j
-    entry (i, j).  It is formed for one block of representatives at a time
-    (a batched product is one GEMM per representative) straight into the rows."""
+    entry (i, j).  It is formed straight into the rows for one block of
+    ``kernels.BLOCK_BYTES`` at a time, at 16 size^2 bytes a representative
+    (a batched product is one GEMM per representative)."""
     first = _seeded_unitary(size, 0xC0, seed)  # which checks the size first
     rng = np.random.default_rng([0x9A, seed])
     positions = [int(rng.integers(size)) for _ in range(int(rng.integers(1, 3)))]
@@ -238,14 +239,13 @@ def _seeded_rows(params: FieldParams, size: int, seed: int) -> np.ndarray:
     delay = _grid_transform(params, np.array([[0, 1]], dtype=np.complex128), 1)[0]
     delay *= math.sqrt(params.q)
     rows = np.empty((size * size, len(delay)), dtype=np.complex128)
-    step = max(1, GRAM_BLOCK // (size * size))  # representatives per block
-    for start in range(0, len(delay), step):
-        shifts = delay[start : start + step, None]
+    for reps in kernels.blocks(len(delay), 16 * size * size):
+        shifts = delay[reps, None]
         prod = np.repeat(first[None], len(shifts), axis=0)
         for position, unitary in zip(positions, unitaries):
             prod[:, :, position] *= shifts  # times delay_block(params, size, position, 1)
             prod = prod @ unitary
-        rows[:, start : start + len(shifts)] = prod.reshape(len(shifts), -1).T
+        rows[:, reps] = prod.reshape(len(shifts), -1).T
     return rows
 
 

@@ -7,8 +7,8 @@ Kronecker power of that table, and ``character_transform`` evaluates a
 batch of coefficient rows on the whole grid with e small matrix products
 (the Chrestenson / Vilenkin fast generalized-Walsh transform, after
 I. J. Good's Kronecker factorization): O(M e q^(e+1)) time for M rows.  It
-overwrites the rows it is given, one block of rows at a time, and needs
-one scratch array of a block's size.
+overwrites its rows one block of ``BLOCK_BYTES`` at a time through one
+scratch array of a block's size; every other blocked loop uses ``blocks``.
 
 ``exponent_table`` and ``conj_char_matrix`` build that q-by-q table from
 the field's c-by-c Hankel form M, as the c-fold Kronecker power of the
@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BLOCK_BYTES",
+    "blocks",
     "exponent_table",
     "analysis_apply",
     "synthesis_apply",
@@ -31,6 +33,16 @@ __all__ = [
     "conj_char_matrix",
     "root_table",
 ]
+
+# working set of one block of every blocked loop, read when the loop runs
+BLOCK_BYTES = 2 ** 18
+
+
+def blocks(count: int, item_bytes: int):
+    """Slices that cover range(count) in order, each of BLOCK_BYTES //
+    item_bytes items (one at least; the last may be shorter)."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def exponent_table(a_digits: np.ndarray, b_digits: np.ndarray, tmod: np.ndarray, p: int) -> np.ndarray:
@@ -58,27 +70,27 @@ def synthesis_apply(coeffs: np.ndarray, branches: np.ndarray, idx: np.ndarray, n
     return out
 
 
-def character_transform(x: np.ndarray, factor: np.ndarray, block: int) -> np.ndarray:
+def character_transform(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Overwrite x with out[:, j'] = sum_j x[:, j] * prod_d factor[j_d, j'_d]
     and return it.
 
     ``x`` is a C-contiguous (M, q^e) complex array and ``factor`` is
     q-by-q; j_d and j'_d are the base-q digits of the column indices, the
     power-0 digit cycling fastest.  Rows are independent, so they go in
-    blocks of near max(``block``, q^2) values (a product packs the q^2
-    factor on every call) through one scratch array of a block's size.
+    blocks of near b = max(``BLOCK_BYTES`` / 16, q^2) values (a product packs
+    the q^2 factor on every call) through one scratch array of a block's size.
     Each step contracts the lowest remaining index digit (the last axis)
     with one matrix product into the scratch, then copies the result back
     with the point digit it yields rotated to the front, so after e steps x
-    is in grid order.  A block holds all M rows or max(block, q^2) // n at
-    least, so its products have q rows or as many as unblocked ones: BLAS
-    takes its one-row (matrix-vector) route only where M = 1 does too.
+    is in grid order.  A block holds all M rows or b // n at least, so its
+    products have q rows or as many as unblocked ones: BLAS takes its
+    one-row (matrix-vector) route only where M = 1 does too.
     """
     if not x.flags.c_contiguous:
         raise ValueError("the character transform works in place on a C-contiguous array")
     m, n = x.shape
     q = factor.shape[0]
-    count = max(m // max(max(block, q * q) // n, 1), 1)
+    count = max(m // max(max(BLOCK_BYTES // x.itemsize, q * q) // n, 1), 1)
     bounds = [m * i // count for i in range(count + 1)]
     scratch = np.empty(-(-m // count) * n, dtype=x.dtype)
     for start, stop in zip(bounds, bounds[1:]):

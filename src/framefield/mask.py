@@ -32,11 +32,6 @@ DEFAULT_MATRIX_TOL = 1e-10
 DEFAULT_CASCADE_TOL = 1e-8
 # coefficients the symbol-domain algebra leaves below this are rounding
 TRIM_CUTOFF = 1e-14
-# complex values per block of a Gram sweep's temporaries (the conjugated
-# columns and the Grams), of the character transform's scratch and of the
-# trim's magnitudes, and entries per block of the character factor's
-# exponents: a few hundred kB whatever the grid
-GRAM_BLOCK = 2 ** 14
 # character factors kept at once: a command uses one field, and a caller
 # that sweeps fields holds at most this many q-by-q tables (16 MB at GF(1024))
 FACTOR_CACHE = 4
@@ -421,17 +416,16 @@ def _character_factor(params: FieldParams) -> np.ndarray:
     character value: conj chi_j(xi) = prod_d F[j_d, xi_d] over the base-q
     digits of j and the power-d digits of xi.  chi reads a^T M x mod p
     (``field_tables``), so F is the c-fold Kronecker power of the p-by-p
-    table conj omega**(i*j), columns permuted by x -> Mx; it is built
-    GRAM_BLOCK exponents at a time."""
+    table conj omega**(i*j), columns permuted by x -> Mx; it is built in
+    blocks of ``kernels.BLOCK_BYTES`` at 16 q bytes a row."""
     p, q = params.p, params.q
     coords = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(params.c) % p
     paired = coords @ field_tables(params) % p
     products = np.outer(np.arange(p), np.arange(p)) % p
     out = np.empty((q, q), dtype=np.complex128)
-    rows = max(1, GRAM_BLOCK // q)
-    for start in range(0, q, rows):
-        exps = kernels.exponent_table(coords[start:start + rows], paired, products, p)
-        out[start:start + rows] = kernels.conj_char_matrix(exps, p)
+    for rows in kernels.blocks(q, 16 * q):
+        exps = kernels.exponent_table(coords[rows], paired, products, p)
+        out[rows] = kernels.conj_char_matrix(exps, p)
     out.flags.writeable = False
     return out
 
@@ -456,14 +450,14 @@ def spectrum(params: FieldParams, coeffs: np.ndarray) -> np.ndarray:
     sum_j coeffs[:, j] * conj chi_j(x) over the depth-e grid point x.
     ``coeffs`` must be a C-contiguous complex array; the values overwrite
     it, and it is returned."""
-    return kernels.character_transform(coeffs, _character_factor(params), GRAM_BLOCK)
+    return kernels.character_transform(coeffs, _character_factor(params))
 
 
 def from_spectrum(params: FieldParams, values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`spectrum`, in place in ``values`` as well."""
     # F is sqrt(q) times a unitary table, so F**-1 = conj(F).T / q
     inverse = np.conj(_character_factor(params)).T / params.q
-    return kernels.character_transform(values, inverse, GRAM_BLOCK)
+    return kernels.character_transform(values, inverse)
 
 
 def _grid_transform(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndarray:
@@ -515,13 +509,13 @@ def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
     """Inverse of sqrt(q) * _grid_transform: coefficient rows from their
     symbols on the depth-e grid, (M, q**e), with those below TRIM_CUTOFF
     zeroed.  The coefficients overwrite ``symbols``, a C-contiguous array
-    the caller gives up, and it is returned; the trim takes GRAM_BLOCK of
-    them at a time through one array of their magnitudes."""
+    the caller gives up, and it is returned; the trim takes them in
+    blocks of ``kernels.BLOCK_BYTES`` at 16 bytes a value."""
     coeffs = from_spectrum(params, symbols)
-    flat, mags = coeffs.reshape(-1), np.empty(min(coeffs.size, GRAM_BLOCK))
-    for start in range(0, flat.size, GRAM_BLOCK):
-        part = flat[start : start + GRAM_BLOCK]
-        part[np.abs(part, out=mags[: len(part)]) < TRIM_CUTOFF] = 0
+    flat = coeffs.reshape(-1)
+    for values in kernels.blocks(flat.size, 16):
+        part = flat[values]
+        part[np.abs(part) < TRIM_CUTOFF] = 0
     return coeffs
 
 
@@ -617,11 +611,10 @@ def coset_values(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndar
 def blocked_gram(a: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:
     """reduce(A_r* B_r) for the matrices A_r = a[:, r, :] and B_r = b[:, r, :]
     of (n, R, k) stacks, so that mask-by-coset arrays need no transpose,
-    taken over blocks of representatives whose temporaries stay near
-    GRAM_BLOCK complex values (one representative at least)."""
+    taken over blocks of ``kernels.BLOCK_BYTES`` at 16 k max(n, k) bytes
+    a representative (the conjugated columns and the Grams)."""
     n, reps, k = a.shape
-    step = max(1, GRAM_BLOCK // (k * max(n, k)))
-    blocks = (slice(start, start + step) for start in range(0, reps, step))
+    blocks = kernels.blocks(reps, 16 * k * max(n, k))
     grams = (np.einsum("lrk,lrj->rkj", np.conj(a[:, r]), b[:, r]) for r in blocks)
     return np.concatenate([reduce(gram) for gram in grams])
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import CoverageError, DepthError, ParameterError, SizeError
 from .galois import FieldParams, addressable, digit_count
 from .localfield import FieldElement, check_grid_points
 from .mask import (
     DEFAULT_CASCADE_TOL,
     DEFAULT_MATRIX_TOL,
-    GRAM_BLOCK,
     CheckReport,
     FilterBank,
     FramePair,
@@ -46,15 +46,16 @@ class HatGrid:
     q**-j_pos.  Point h has digit (h // q**i) % q at power i - j_neg, so the
     lowest power cycles fastest and index 0 is the origin.
 
-    ``samples`` is the values, or a call giving those of points start..stop-1
-    as a new read-only array: a slice then computes its points alone, and
-    ``values`` computes them all when first read.
+    ``samples`` is the values, or a call giving those of the hat indices it
+    is passed (a range or an integer array) as a new read-only array: until
+    ``values`` computes them all, when first read, ``gather`` and slices
+    compute their points alone.
     """
 
     params: FieldParams
     j_neg: int
     j_pos: int
-    samples: np.ndarray | Callable[[int, int], np.ndarray]
+    samples: np.ndarray | Callable[[range | np.ndarray], np.ndarray]
     stabilized_at: int | None = None
 
     def __post_init__(self):
@@ -66,16 +67,20 @@ class HatGrid:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return self.samples(0, len(self)) if callable(self.samples) else self.samples
+        return self.gather(range(len(self))) if callable(self.samples) else self.samples
 
     def __len__(self) -> int:
         return self.params.q ** self.width
 
     def __getitem__(self, index: slice) -> np.ndarray:
-        if callable(self.samples) and index.step in (None, 1):
-            start, stop, _ = index.indices(len(self))
-            return self.samples(start, max(start, stop))
-        return self.values[index]
+        return self.gather(range(len(self))[index])
+
+    def gather(self, points: range | np.ndarray) -> np.ndarray:
+        """The values at the hat indices ``points``, a range or a 1-D integer
+        array, as a new array; read from ``values`` once those exist."""
+        if callable(self.samples) and "values" not in self.__dict__:
+            return self.samples(points)
+        return self.values[_indices(points)]
 
     @property
     def width(self) -> int:
@@ -113,9 +118,11 @@ def constant_hat(params: FieldParams, j_neg: int, j_pos: int, value: complex = 1
     return HatGrid(params, j_neg, j_pos, vals)
 
 
-# hat points per block of the cascade: its index and gather temporaries stay
-# at a few hundred kB whatever the window
-CASCADE_BLOCK = 2 ** 15
+def _indices(points: range | np.ndarray) -> np.ndarray:
+    """Hat indices as an int64 array, a range without a Python loop."""
+    if isinstance(points, range):
+        return np.arange(points.start, points.stop, points.step, dtype=np.int64)
+    return np.asarray(points, dtype=np.int64)
 
 
 def _dilated_index(h: np.ndarray, k: int, q: int, depth: int) -> np.ndarray:
@@ -141,9 +148,9 @@ def cascade_phihat(
     Factors become identically 1 once t**j x lands deep enough in the ring
     of integers for every grid point; the first such j is recorded as
     ``stabilized_at`` (the product is exact from there on).  The grid keeps
-    m0's table: a slice multiplies the factors for one block of
-    ``CASCADE_BLOCK`` of its points at a time, so the window is held whole
-    only once ``values`` is read.
+    m0's table: a gather or a slice multiplies the factors of its points in
+    blocks of ``kernels.BLOCK_BYTES`` at 8 bytes a point (their index), so
+    the window is held whole only once ``values`` is read.
     """
     if iterations < 1:
         raise ParameterError(f"cascade iterations must be at least 1, got {iterations}")
@@ -161,13 +168,18 @@ def cascade_phihat(
     # the support depth (at once on an empty window) every factor is m0(0)
     last = support_depth + j_neg - 1 if width else 0
 
-    def samples(start: int, stop: int) -> np.ndarray:
-        values = np.ones(stop - start, dtype=np.complex128)
-        for at in range(start, stop, CASCADE_BLOCK):
-            block = values[at - start:at - start + CASCADE_BLOCK]
-            h = np.arange(at, at + len(block), dtype=np.int64)
+    def samples(points: range | np.ndarray) -> np.ndarray:
+        values = np.ones(len(points), dtype=np.complex128)
+        for at in kernels.blocks(len(values), 8):
+            block, h = values[at], _indices(points[at])
+            if len(h) == 1:
+                # numpy multiplies a lone complex value in its scalar loop,
+                # which rounds otherwise than its vector loop: taken twice,
+                # the point gets the bits of any longer block
+                block, h = np.ones(2, dtype=np.complex128), np.repeat(h, 2)
             for j in range(1, min(iterations, last) + 1):
                 block *= table[_dilated_index(h, j - j_neg, q, support_depth)]
+            values[at] = block[:len(values[at])]
         values.flags.writeable = False
         return values
 
@@ -179,9 +191,10 @@ def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
     """sum_{k<K} |phihat(xi + u(k))|**2 for every point xi of the base grid
     (the ring-of-integers part of the hat window, at its full resolution).
 
-    The translates are gathered one block of about ``CASCADE_BLOCK`` hat
-    points at a time, and each block is added to the running total in
-    translate order.
+    The translates are gathered from the grid in blocks of
+    ``kernels.BLOCK_BYTES`` at 8 len(base) bytes a translate (its hat
+    indices), and each block is added to the running total in translate
+    order.  A grid that holds no values computes the gathered points alone.
     """
     params = phihat.params
     q = params.q
@@ -197,10 +210,10 @@ def partition_sums(phihat: HatGrid, translates: int) -> np.ndarray:
     offsets = np.zeros(translates, dtype=np.int64)
     for i in range(phihat.j_neg):
         offsets += (k // q ** i % q) * q ** (phihat.j_neg - 1 - i)
-    rows = max(1, CASCADE_BLOCK // len(base))
     sums = None
-    for start in range(0, translates, rows):
-        block = np.abs(phihat.values[offsets[start:start + rows, None] + base]) ** 2
+    for rows in kernels.blocks(translates, 8 * len(base)):
+        block = np.abs(phihat.gather((offsets[rows, None] + base).ravel())) ** 2
+        block = block.reshape(-1, len(base))
         if sums is not None:
             # the total leads the block, so the sum runs down the rows in order
             block = np.concatenate((sums[None], block))
@@ -250,19 +263,18 @@ def _symbol_product(params: FieldParams, table: np.ndarray, rows: np.ndarray) ->
     """Inverse transform of table[x mod R] @ (transforms of ``rows`` at x)
     for every point x, R = len(table): one matrix product per x mod R.
     ``rows`` is only read.  One buffer holds the transform of ``rows``, then
-    the products, written over it for about ``GRAM_BLOCK`` values of
-    residues x mod R at a time, then their inverse transform, which is
-    returned as a view of the buffer's first rows."""
+    the products, written over it in blocks of ``kernels.BLOCK_BYTES`` at
+    16 len(buffer) n / R bytes a residue x mod R, then their inverse
+    transform, which is returned as a view of the buffer's first rows."""
     (m, n), (r, k) = rows.shape, table.shape[:2]
     buffer = np.empty((max(k, m), n), dtype=np.complex128)
     buffer[:m] = rows
     # column r*i + j of both arrays is column (i, j) of these views
     spectra = spectrum(params, buffer[:m]).reshape(m, -1, r)
     products = buffer[:k].reshape(k, -1, r)
-    step = max(1, GRAM_BLOCK * r // (len(buffer) * n))
-    for j in range(0, r, step):
-        part = table[j:j + step] @ spectra[..., j:j + step].transpose(2, 0, 1)
-        products[..., j:j + step] = part.transpose(1, 2, 0)
+    for j in kernels.blocks(r, 16 * len(buffer) * n // r):
+        part = table[j] @ spectra[..., j].transpose(2, 0, 1)
+        products[..., j] = part.transpose(1, 2, 0)
     del part  # with R = 1 it is as large as the products
     return from_spectrum(params, buffer[:k])
 

@@ -21,8 +21,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framefield
-from framefield import cli, galois, reference
-from framefield.cli import CSV_BLOCK, _load_json, _write_csv, main
+from framefield import cli, galois, kernels, reference
+from framefield.cli import _load_json, _write_csv, main
 from framefield.construct import (
     constant_paraunitary,
     derive_pair,
@@ -35,13 +35,14 @@ from framefield.galois import FieldParams
 from framefield.mask import (
     FilterBank,
     FramePair,
+    _character_factor,
     check_mixed_orthogonality,
     mask_values_on_grid,
     zero_mask,
 )
-from framefield.verify import CASCADE_BLOCK, cascade_phihat, parseval_experiment, partition_sums
+from framefield.verify import cascade_phihat, parseval_experiment, partition_sums
 
-from helpers import mask_scale, random_bank
+from helpers import long_pair, mask_scale, random_bank
 
 
 def run(args):
@@ -759,11 +760,12 @@ def test_experiment_csv_bytes_match_csv_writer(tmp_path, p3):
 
 
 def test_write_csv_bytes_match_csv_writer_across_blocks(tmp_path, rng):
-    n = 2 * CSV_BLOCK + 17
+    csv_block = kernels.BLOCK_BYTES // 64
+    n = 2 * csv_block + 17
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e308, -1e308,
                         np.inf, -np.inf, np.nan, 0.1, 1 / 3])
     reals = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.standard_normal(n))
-    reals[CSV_BLOCK - 3:CSV_BLOCK + 3] = [-0.0, 0.0, -0.0, 1e308, -0.0, 0.0]
+    reals[csv_block - 3:csv_block + 3] = [-0.0, 0.0, -0.0, 1e308, -0.0, 0.0]
     imags = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.standard_normal(n))
     values = np.empty(n, dtype=np.complex128)  # reals + 1j * imags would turn inf into nan
     values.real, values.imag = reals, imags
@@ -832,34 +834,90 @@ def test_write_csv_from_blocks_matches_the_whole_array(tmp_path_factory, reals, 
     tmp = tmp_path_factory.mktemp("csv")
     _write_csv(tmp / "whole.csv", header, values)
     for size in (1, csv_block):
-        with mock.patch.object(cli, "CSV_BLOCK", size):
+        with mock.patch.object(kernels, "BLOCK_BYTES", 64 * size):
             _write_csv(tmp / "blocks.csv", header, blocks)
         assert (tmp / "blocks.csv").read_bytes() == (tmp / "whole.csv").read_bytes()
 
 
-def _cascade_command_peak(tmp_path, bank, hat_neg, hat_pos):
-    out = tmp_path / f"cascade-{hat_neg}-{hat_pos}.json"
+def _hat_command_peak(tmp_path, kind, bank, hat_neg, hat_pos):
+    """Traced peak of a GF(2) cascade or partition run in process."""
+    out = tmp_path / f"{kind}-{hat_neg}-{hat_pos}.json"
     tracemalloc.start()
     try:
-        assert run(["experiment", "--kind", "cascade", "--bank", bank, "--levels", 12,
+        assert run(["experiment", "--kind", kind, "--bank", bank, "--levels", 12,
                     "--hat-neg", hat_neg, "--hat-pos", hat_pos, "--out", out]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out.with_suffix(".csv").read_text().splitlines()) == 2 ** (hat_neg + hat_pos) + 1
+    lines = 2 ** (hat_neg + hat_pos) if kind == "cascade" else 2 ** hat_pos
+    assert len(out.with_suffix(".csv").read_text().splitlines()) == lines + 1
     return peak
 
 
 def test_cascade_command_memory_does_not_grow_with_the_window(tmp_path):
-    # the CSV is computed as it is written, CSV_BLOCK hat points at a time:
+    # the CSV is computed as it is written, one block of lines at a time:
     # a window four times larger (4 MB of values more, were they held)
     # costs less than one cascade block of values (512 kB) more
     bank = tmp_path / "bank.json"
     run(["gen", "haar", "--p", 2, "--out", bank])
-    _cascade_command_peak(tmp_path, bank, 2, 2)  # field tables and imports
-    small = _cascade_command_peak(tmp_path, bank, 8, 8)
-    large = _cascade_command_peak(tmp_path, bank, 8, 10)
-    assert abs(large - small) < CASCADE_BLOCK * 16
+    _hat_command_peak(tmp_path, "cascade", bank, 2, 2)  # field tables and imports
+    small = _hat_command_peak(tmp_path, "cascade", bank, 8, 8)
+    large = _hat_command_peak(tmp_path, "cascade", bank, 8, 10)
+    assert abs(large - small) < 2 * kernels.BLOCK_BYTES
+
+
+def test_partition_command_computes_only_its_translates(tmp_path):
+    # at --hat-neg 11 the sums read 20 x 2**11 of the 2**22 hat points, a
+    # 64 MB window were it held: the run costs as much as one with a window
+    # of 2**13 points, within 2 MB
+    bank = tmp_path / "bank.json"
+    run(["gen", "haar", "--p", 2, "--out", bank])
+    _hat_command_peak(tmp_path, "partition", bank, 2, 2)  # field tables and imports
+    small = _hat_command_peak(tmp_path, "partition", bank, 2, 11)
+    large = _hat_command_peak(tmp_path, "partition", bank, 11, 11)
+    assert large - small < 2 * 2 ** 20
+
+
+def _block_outputs(root, bank, pair, primal, dual):
+    """Run every command that runs a blocked loop, with its outputs under
+    ``root``; returns each output: a JSON payload without ``metadata``, or
+    the bytes of a CSV."""
+    signal = ["--signal-size", 4, "--levels", 2, "--trials", 2, "--seed", 1]
+    hat = ["--levels", 12, "--hat-neg", 2, "--hat-pos", 3]
+    commands = {
+        "verify": ["verify", primal, "--checks", "uep,subqmf,polyphase,mixed", "--dual", dual],
+        "pair": ["pair", "--primal", bank, "--dual", bank, "--seed", 3],
+        "family": ["family", "--bank", bank, "--size", 3, "--seed", 2],
+        "parseval": ["experiment", "--kind", "parseval", "--bank", primal, *signal],
+        "mixed": ["experiment", "--kind", "mixed", "--pair", pair, *signal],
+        "cascade": ["experiment", "--kind", "cascade", "--bank", primal, *hat],
+        "partition": ["experiment", "--kind", "partition", "--bank", primal, *hat],
+    }
+    root.mkdir()
+    for name, args in commands.items():
+        out = ["--out-dir", root / name] if name == "family" else ["--out", root / f"{name}.json"]
+        assert run([*args, *out]) in (0, 1), name
+    return {path.relative_to(root): canonical(load(path)) if path.suffix == ".json"
+            else path.read_bytes() for path in root.rglob("*.*")}
+
+
+def test_outputs_do_not_depend_on_the_block_size(tmp_path):
+    # every blocked loop sizes its blocks through kernels.BLOCK_BYTES: at 16
+    # bytes a block holds one item (a value, a row, a representative, a
+    # residue, a translate or a CSV line) or two hat points, and each
+    # command still writes what it writes at the default
+    pair = long_pair(FieldParams(3), 4, 1)  # 15 slots: the polyphase table has 9 residues
+    files = {name: tmp_path / f"{name}.json" for name in ("bank", "pair", "primal", "dual")}
+    run(["gen", "haar", "--p", 3, "--out", files["bank"]])
+    for name, value in (("pair", pair), ("primal", pair.primal), ("dual", pair.dual)):
+        files[name].write_text(json.dumps(value.to_json()))
+    outputs = []
+    for block_bytes in (kernels.BLOCK_BYTES, 16):
+        _character_factor.cache_clear()  # the factor is built in blocks too
+        with mock.patch.object(kernels, "BLOCK_BYTES", block_bytes):
+            outputs.append(_block_outputs(tmp_path / str(block_bytes), **files))
+    assert len(outputs[0]) == 14, sorted(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_experiment_missing_input(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from framefield import kernels
 from framefield.construct import FramePair
 from framefield.errors import ParameterError
 from framefield.galois import FieldParams
@@ -27,7 +28,6 @@ from framefield.mask import (
 )
 from framefield.reference import cascade_value, eval_mask, lf_add, u_map
 from framefield.verify import (
-    CASCADE_BLOCK,
     HatGrid,
     cascade_phihat,
     constant_hat,
@@ -140,12 +140,29 @@ def test_cascade_matches_digit_matrix(field, seed, unitary, delay, iterations, d
 def test_cascade_blocks_match_digit_matrix(field, j_neg, j_pos):
     # windows of 2**16 and 3**10 points span two and more cascade blocks
     params = FieldParams(*field)
-    assert params.q ** (j_neg + j_pos) > CASCADE_BLOCK
+    assert params.q ** (j_neg + j_pos) > kernels.BLOCK_BYTES // 8
     m0 = normalized_bank(params, 7, False, 3).m0
     hat = cascade_phihat(m0, 12, j_neg, j_pos)
     values, stabilized_at = reference_cascade(m0, 12, j_neg, j_pos)
     assert np.array_equal(hat.values, values)
     assert hat.stabilized_at == stabilized_at
+
+
+def test_cascade_values_do_not_depend_on_how_they_are_read():
+    # one point at a time, in reverse or by gather, every point gets the bits
+    # the whole window gives it (numpy rounds a lone complex product apart)
+    m0 = normalized_bank(FieldParams(3), 7, False, 3).m0
+    want = cascade_phihat(m0, 12, 2, 3).values
+    hat = cascade_phihat(m0, 12, 2, 3)
+    reads = [
+        np.concatenate([hat[h:h + 1] for h in range(len(hat))]),
+        np.concatenate([hat.gather(np.array([h])) for h in range(len(hat))]),
+        np.ascontiguousarray(hat[::-1][::-1]),
+        hat.gather(np.arange(len(hat))),
+    ]
+    assert "values" not in hat.__dict__
+    for got in reads:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cascade_memory_is_values_plus_one_block(haar2):

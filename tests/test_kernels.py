@@ -1,9 +1,11 @@
 """The character transform against the definitional evaluation route, and
 its identities at fields past that route's reach."""
 
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,13 +13,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from framefield import kernels, mask
+from framefield import kernels
 from framefield.construct import seeded_paraunitary
 from framefield.galois import FieldParams, _is_irreducible, field_tables
 from framefield.localfield import FieldElement, grid_point, index_add
 from framefield.mask import (
     FACTOR_CACHE,
-    GRAM_BLOCK,
     FilterBank,
     Mask,
     _character_factor,
@@ -36,6 +37,29 @@ from framefield.reference import eval_mask
 from helpers import reference_character_transform
 
 
+def test_only_kernels_sets_a_block_size():
+    # every blocked loop reads kernels.BLOCK_BYTES when it runs: a block
+    # constant of another module, or a copy of BLOCK_BYTES imported by
+    # name, would keep its value when that one is patched
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "kernels":
+            for node in tree.body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                assert not {n for n in names if n.endswith("_BLOCK") or n == "BLOCK_BYTES"}, path
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+                assert "BLOCK_BYTES" not in imported, path
+                assert not (node.module or "").endswith("kernels") or "*" not in imported, path
+
+
 def test_root_table_exactness():
     r2 = kernels.root_table(2)
     assert r2[0] == 1.0 and r2[1] == -1.0
@@ -51,7 +75,7 @@ def test_character_transform_is_kronecker_power(rng, q, e):
     dense = np.ones((1, 1))
     for _ in range(e):
         dense = np.kron(factor, dense)
-    out = kernels.character_transform(coeffs.copy(), factor, GRAM_BLOCK)
+    out = kernels.character_transform(coeffs.copy(), factor)
     assert np.allclose(out, coeffs @ dense, atol=1e-12, rtol=0)
 
 
@@ -118,7 +142,7 @@ def test_in_place_transform_is_bit_identical(q, e, rows, inverse, seed):
         part[rng.random(x.shape) < 0.2] = 0.0
         part[rng.random(x.shape) < 0.2] = -0.0
     want = np.ascontiguousarray(reference_character_transform(x.copy(), factor))
-    got = kernels.character_transform(x, factor, GRAM_BLOCK)
+    got = kernels.character_transform(x, factor)
     assert np.shares_memory(got, x)
     # bit patterns, so that the sign of every zero must match too
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -128,7 +152,7 @@ def test_transform_rejects_arrays_it_cannot_overwrite(rng):
     factor = _character_factor(FieldParams(2, 1))
     x = rng.standard_normal((4, 3)) + 0j
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.character_transform(x.T, factor, GRAM_BLOCK)
+        kernels.character_transform(x.T, factor)
 
 
 @given(
@@ -156,7 +180,7 @@ def test_blocked_transform_is_bit_identical(q, e, rows, block, inverse, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, q ** e)) + 1j * rng.standard_normal((rows, q ** e))
     want = np.ascontiguousarray(reference_character_transform(x.copy(), factor))
-    with mock.patch.object(mask, "GRAM_BLOCK", block):
+    with mock.patch.object(kernels, "BLOCK_BYTES", 16 * block):
         got = (from_spectrum if inverse else spectrum)(params, x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -164,7 +188,8 @@ def test_blocked_transform_is_bit_identical(q, e, rows, block, inverse, seed):
 @pytest.mark.parametrize("e", [0, 1, 3])
 def test_transform_of_no_rows_is_empty(e):
     factor = _character_factor(FieldParams(2, 1))
-    out = kernels.character_transform(np.empty((0, 2 ** e), dtype=np.complex128), factor, 1)
+    with mock.patch.object(kernels, "BLOCK_BYTES", 16):
+        out = kernels.character_transform(np.empty((0, 2 ** e), dtype=np.complex128), factor)
     assert out.shape == (0, 2 ** e)
 
 
@@ -175,11 +200,11 @@ def test_transform_scratch_is_one_block():
     x = rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096))
     tracemalloc.start()
     try:
-        kernels.character_transform(x, factor, GRAM_BLOCK)
+        kernels.character_transform(x, factor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * GRAM_BLOCK + 2 ** 14, peak
+    assert peak <= kernels.BLOCK_BYTES + 2 ** 14, peak
 
 
 @given(
@@ -239,8 +264,8 @@ def test_inverse_transform_recovers_coefficients(rng, p, c, e):
     q = p ** c
     factor = character_table(FieldParams(p, c)) * math.sqrt(q)
     coeffs = rng.standard_normal((3, q ** e)) + 1j * rng.standard_normal((3, q ** e))
-    values = kernels.character_transform(coeffs.copy(), factor, GRAM_BLOCK)
-    back = kernels.character_transform(values, np.conj(factor).T / q, GRAM_BLOCK)
+    values = kernels.character_transform(coeffs.copy(), factor)
+    back = kernels.character_transform(values, np.conj(factor).T / q)
     assert np.abs(back - coeffs).max() <= 1e-13
 
 

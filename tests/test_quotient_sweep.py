@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from framefield.construct import Paraunitary
 from framefield.errors import ConstructionError
-from framefield import mask
+from framefield import kernels
 from framefield.cli import main
 from framefield.galois import FieldParams
 from framefield.localfield import grid_point
@@ -205,7 +205,7 @@ def test_blocked_gram_matches_one_einsum(shape, block, seed):
     gram = np.einsum("lrk,lrj->rkj", np.conj(cols), cols)
     gram -= np.eye(shape[2])
     want = np.abs(gram).max(axis=(1, 2))
-    with mock.patch.object(mask, "GRAM_BLOCK", block):
+    with mock.patch.object(kernels, "BLOCK_BYTES", 16 * block):
         got = gram_deviation(cols)
         # conjugated columns have conjugated Grams: the same deviations,
         # which lets the polyphase check skip its conjugated copy
@@ -224,7 +224,7 @@ def test_blocked_mixed_check_matches_one_einsum(bank, block, data):
     cross = np.abs(np.einsum("lrk,lrj->rkj", np.conj(va), vb))
     diag = np.diagonal(cross, axis1=1, axis2=2).max(axis=1)
     want = np.maximum(np.maximum(cross.max(axis=2), cross.max(axis=1)), diag[:, None]).ravel()
-    with mock.patch.object(mask, "GRAM_BLOCK", block):
+    with mock.patch.object(kernels, "BLOCK_BYTES", 16 * block):
         report = check_mixed_orthogonality(bank, dual, depth)
     worst = int(np.argmax(want))
     assert np.float64(report.max_deviation).view(np.int64) == want[worst].view(np.int64)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from framefield import kernels, verify
+from framefield import kernels
 from framefield.construct import (
     FramePair,
     compose,
@@ -338,8 +338,8 @@ def test_blocked_symbol_products_are_bit_identical(field, seed, delay, block):
     banks, _ = _transform_banks(params, seed, delay)
     signal = random_signal(params, 4, np.random.default_rng(seed))
     results = []
-    for gram_block in (2 ** 62, block):
-        with mock.patch.object(verify, "GRAM_BLOCK", gram_block):
+    for block_bytes in (2 ** 66, 16 * block):
+        with mock.patch.object(kernels, "BLOCK_BYTES", block_bytes):
             results.append([np.concatenate([analysis_step(signal, bank).ravel(),
                                             synthesis_step(analysis_step(signal, bank), bank)])
                             for bank in banks])
