@@ -26,17 +26,18 @@ from .mask import (
     FilterBank,
     FramePair,
     block_masks,
+    by_coset,
     character_table,
     check_mixed_orthogonality,
     check_uep,
     coefficient_rows,
-    coset_values,
     covering_depth,
     gram_deviation,
+    lattice_symbols,
     require_tight,
     row_json,
     sweep_report,
-    _grid_transform,
+    symbols,
     _trimmed_columns,
     DEFAULT_MATRIX_TOL,
 )
@@ -100,12 +101,10 @@ class Paraunitary(CoefficientBlock):
 
     def symbols(self, depth: int, columns: slice = slice(None)) -> np.ndarray:
         """Symbols of the entries in ``columns`` at the depth-s coset
-        representatives, (R, size, columns): the block's values at t*x for x
-        on the depth-(s-1) grid, from one transform of those entries' rows."""
+        representatives, (R, size, columns): :func:`mask.lattice_symbols`
+        of those entries' rows, one transform."""
         rows = self.coeffs.reshape(self.size, self.size, -1)[:, columns]
-        table = _grid_transform(self.params, rows.reshape(-1, rows.shape[2]), depth - 1)
-        table *= math.sqrt(self.params.q)
-        return table.reshape(rows.shape[0], rows.shape[1], -1).transpose(2, 0, 1)
+        return lattice_symbols(self.params, rows, depth).transpose(2, 0, 1)
 
     @classmethod
     def from_symbols(cls, params: FieldParams, symbols: np.ndarray) -> "Paraunitary":
@@ -226,9 +225,9 @@ def seeded_paraunitary(params: FieldParams, size: int, seed: int) -> Paraunitary
 def _seeded_rows(params: FieldParams, size: int, seed: int) -> np.ndarray:
     """The factor product of :func:`seeded_paraunitary` at the q depth-2
     coset representatives as entry rows, (size * size, q), row i*size + j
-    entry (i, j).  It is formed straight into the rows for one block of
-    ``kernels.BLOCK_BYTES`` at a time, at 16 size^2 bytes a representative
-    (a batched product is one GEMM per representative)."""
+    entry (i, j), the delay's samples its depth-1 :func:`mask.symbols` (the
+    :func:`mask.lattice_symbols` read).  Formed for one block of
+    ``kernels.BLOCK_BYTES`` at a time, at 16 size^2 bytes a representative."""
     first = _seeded_unitary(size, 0xC0, seed)  # which checks the size first
     rng = np.random.default_rng([0x9A, seed])
     positions = [int(rng.integers(size)) for _ in range(int(rng.integers(1, 3)))]
@@ -236,8 +235,7 @@ def _seeded_rows(params: FieldParams, size: int, seed: int) -> np.ndarray:
     # the unit delay reaches index q, and carry-free products stay on the
     # grid that covers their factors: every factor is sampled at depth 2,
     # whose coset representatives t*x read the delay's raw coefficients at x
-    delay = _grid_transform(params, np.array([[0, 1]], dtype=np.complex128), 1)[0]
-    delay *= math.sqrt(params.q)
+    delay = symbols(params, np.array([[0, 1]], dtype=np.complex128), 1)[0]
     rows = np.empty((size * size, len(delay)), dtype=np.complex128)
     for reps in kernels.blocks(len(delay), 16 * size * size):
         shifts = delay[reps, None]
@@ -251,13 +249,13 @@ def _seeded_rows(params: FieldParams, size: int, seed: int) -> np.ndarray:
 
 def _product_symbols(matrix: Paraunitary, bank: FilterBank, columns: slice = slice(None)):
     """Samples for products of matrix entries with the wavelets of ``bank``
-    on the grid that covers both: symbols of the entries in ``columns`` at
-    the coset representatives, (R, size, columns), and wavelet symbols,
-    (L, R, q).  The wavelet rows keep their own width, so a wider m0 cannot
-    deepen the grid."""
+    on the grid that covers both: :meth:`Paraunitary.symbols` of the entries
+    in ``columns``, (R, size, columns), and :func:`mask.symbols` of the
+    wavelets by coset, (L, R, q).  The wavelet rows keep their own width, so
+    a wider m0 cannot deepen the grid."""
     params, wavelets = matrix.params, _trimmed_columns(bank.coeffs[1:])
     depth = covering_depth(max(matrix.max_index, wavelets.shape[1] - 1), params.q)
-    return matrix.symbols(depth, columns), coset_values(params, wavelets, depth) * math.sqrt(params.q)
+    return matrix.symbols(depth, columns), by_coset(symbols(params, wavelets, depth), params.q)
 
 
 def _mix_wavelets(matrix: Paraunitary, column_offset: int, bank: FilterBank) -> FilterBank:

@@ -505,13 +505,30 @@ def mask_values_on_grid(masks, depth: int) -> np.ndarray:
     return _grid_transform(params, coefficient_block(params, masks)[0], depth)
 
 
-def coefficient_rows(params: FieldParams, symbols: np.ndarray) -> np.ndarray:
-    """Inverse of sqrt(q) * _grid_transform: coefficient rows from their
-    symbols on the depth-e grid, (M, q**e), with those below TRIM_CUTOFF
-    zeroed.  The coefficients overwrite ``symbols``, a C-contiguous array
-    the caller gives up, and it is returned; the trim takes them in
-    blocks of ``kernels.BLOCK_BYTES`` at 16 bytes a value."""
-    coeffs = from_spectrum(params, symbols)
+def symbols(params: FieldParams, rows: np.ndarray, depth: int) -> np.ndarray:
+    """Symbols of stride-1 coefficient rows on the depth-s grid, (M, q**s):
+    their values times sqrt(q), which multiply as carry-free convolution.
+    The one forward symbol rule; :func:`coefficient_rows` is its inverse."""
+    values = _grid_transform(params, rows, depth)
+    values *= math.sqrt(params.q)
+    return values
+
+
+def lattice_symbols(params: FieldParams, rows: np.ndarray, depth: int) -> np.ndarray:
+    """Symbols of (n, k, w) rows on the lattice q*N0 (column j holds index
+    q*j) at the depth-s coset representatives t*x, (n, k, q**(s-1)): a
+    row's value at t*x is its :func:`symbols` at x on the depth-(s-1) grid."""
+    n, k, width = rows.shape
+    return symbols(params, rows.reshape(n * k, width), depth - 1).reshape(n, k, -1)
+
+
+def coefficient_rows(params: FieldParams, samples: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`symbols`: coefficient rows from their symbols on
+    the depth-e grid, (M, q**e), with those below TRIM_CUTOFF zeroed.  The
+    coefficients overwrite ``samples``, a C-contiguous array the caller
+    gives up, and it is returned; the trim takes them in blocks of
+    ``kernels.BLOCK_BYTES`` at 16 bytes a value."""
+    coeffs = from_spectrum(params, samples)
     flat = coeffs.reshape(-1)
     for values in kernels.blocks(flat.size, 16):
         part = flat[values]
@@ -539,7 +556,7 @@ def mask_mul(a: Mask, b: Mask) -> Mask:
     # carry-free sums add digits position by position, so the product's
     # support fits the grid that covers both factors
     depth = covering_depth(block.shape[1] - 1, params.q)
-    sa, sb = _grid_transform(params, block, depth) * math.sqrt(params.q)
+    sa, sb = symbols(params, block, depth)
     return Mask(params, coefficient_rows(params, (sa * sb)[None])[0], stride)
 
 
@@ -563,15 +580,12 @@ def trim_mask(m: Mask, cutoff: float = TRIM_CUTOFF) -> Mask:
 
 
 def polyphase_symbols(bank: FilterBank) -> np.ndarray:
-    """Symbols of the polyphase components h_{l,r}[j] = coeffs_l[r + q*j]
-    at their covering depth e, as an (L+1, q, q**e) table: column x holds
-    the values at the coset representative t*x, and any point x of a
-    deeper grid reads column x mod q**e.  e is one less than the bank's
-    covering depth."""
-    q = bank.params.q
-    rows = _fold(bank.coeffs, q).transpose(0, 2, 1).reshape(len(bank.coeffs) * q, -1)
-    values = _grid_transform(bank.params, rows, bank.depth() - 1)
-    return (values * math.sqrt(q)).reshape(len(bank.coeffs), q, -1)
+    """The polyphase components h_{l,r}[j] = coeffs_l[r + q*j] as an
+    (L+1, q, q**e) table of their :func:`lattice_symbols` at the bank's
+    covering depth e + 1: column x holds the values at the coset
+    representative t*x, and a point x of a deeper grid reads column x mod q**e."""
+    rows = _fold(bank.coeffs, bank.params.q).transpose(0, 2, 1)
+    return lattice_symbols(bank.params, rows, bank.depth())
 
 
 # ---------------------------------------------------------------------------
@@ -600,29 +614,35 @@ def swept_depth(depth: int, max_index: int, q: int) -> int:
     return covering
 
 
+def by_coset(values: np.ndarray, q: int) -> np.ndarray:
+    """Rows of grid values, (M, q^s), by coset as in :func:`coset_values`."""
+    return values.reshape(len(values), values.shape[1] // q, q)  # no rows reshape too
+
+
 def coset_values(params: FieldParams, coeffs: np.ndarray, depth: int) -> np.ndarray:
     """Values of stride-1 block rows on the depth-s grid, (M, q^(s-1), q):
     entry [l, r, a] is row l at coset representative r plus a at power 0,
     so [:, r, :] is the modulation matrix at r up to a column permutation."""
-    q = params.q  # explicit sizes, so that a block of no rows reshapes too
-    return _grid_transform(params, coeffs, depth).reshape(len(coeffs), q ** (depth - 1), q)
+    return by_coset(_grid_transform(params, coeffs, depth), params.q)
 
 
 def blocked_gram(a: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:
     """reduce(A_r* B_r) for the matrices A_r = a[:, r, :] and B_r = b[:, r, :]
     of (n, R, k) stacks, so that mask-by-coset arrays need no transpose,
-    taken over blocks of ``kernels.BLOCK_BYTES`` at 16 k max(n, k) bytes
-    a representative (the conjugated columns and the Grams)."""
+    taken over blocks of ``kernels.BLOCK_BYTES`` at 16 k (n + k) bytes a
+    representative (its conjugated columns and its Gram); a block's Grams
+    are reduced and dropped before the next block's are formed."""
     n, reps, k = a.shape
-    blocks = kernels.blocks(reps, 16 * k * max(n, k))
-    grams = (np.einsum("lrk,lrj->rkj", np.conj(a[:, r]), b[:, r]) for r in blocks)
-    return np.concatenate([reduce(gram) for gram in grams])
+    return np.concatenate([reduce(np.einsum("lrk,lrj->rkj", np.conj(a[:, r]), b[:, r]))
+                           for r in kernels.blocks(reps, 16 * k * (n + k))])
 
 
 def gram_deviation(cols: np.ndarray) -> np.ndarray:
-    """max |A_r* A_r - I| for each matrix A_r = cols[:, r, :] of an (n, R, k) stack."""
+    """max |A_r* A_r - I| for each matrix A_r = cols[:, r, :] of an (n, R, k)
+    stack; the identity is taken off each block of Grams in place."""
     eye = np.eye(cols.shape[2])
-    return blocked_gram(cols, cols, lambda gram: np.abs(gram - eye).max(axis=(1, 2)))
+    return blocked_gram(cols, cols,
+                        lambda gram: np.abs(np.subtract(gram, eye, out=gram)).max(axis=(1, 2)))
 
 
 def sweep_report(condition, depth, swept, deviations, tol, params) -> CheckReport:

@@ -325,7 +325,8 @@ def _analysis_cascade(v: np.ndarray, bank: FilterBank, levels: int):
 def _random_signal_trials(condition, stream, banks, measure, size_exponent, levels, trials,
                           tol, seed, enforce_precondition) -> CheckReport:
     """The worst ``measure`` of ``trials`` random signals of q**size_exponent
-    samples from the generator seeded ``[stream, seed]``.  Sizes below 1
+    samples from the generator seeded ``[stream, seed]``, each drawn by
+    ``measure`` itself so that it holds the one reference.  Sizes below 1
     check nothing, and the (label, bank) pairs of ``banks`` must be tight
     frames unless the precondition is waived."""
     for name, value in (("signal size", size_exponent), ("levels", levels), ("trials", trials)):
@@ -338,7 +339,7 @@ def _random_signal_trials(condition, stream, banks, measure, size_exponent, leve
         raise DepthError("levels must stay below the signal size exponent")
     rng = np.random.default_rng([stream, seed])
     params = banks[0][1].params
-    per_trial = [measure(random_signal(params, size_exponent, rng)) for _ in range(trials)]
+    per_trial = [measure(lambda: random_signal(params, size_exponent, rng)) for _ in range(trials)]
     worst_trial = int(np.argmax(per_trial))
     worst = float(per_trial[worst_trial])
     details = {"levels": levels, "trials": trials, "seed": seed,
@@ -361,10 +362,13 @@ def parseval_experiment(
     Banks that fail the tight-frame precondition are rejected unless
     ``enforce_precondition`` is disabled to measure their energy drift.
     """
-    def drift(v):
+    def drift(draw):
+        v = draw()
         total = float(np.vdot(v, v).real)
         acc = 0.0
-        for branches in _analysis_cascade(v, bank, levels):
+        cascade = _analysis_cascade(v, bank, levels)
+        del v  # the cascade drops it once its first level is analysed
+        for branches in cascade:
             acc += float(np.sum(np.abs(branches[1:]) ** 2))
         acc += float(np.vdot(branches[0], branches[0]).real)  # the last scaling branch
         return abs(acc - total) / total
@@ -386,15 +390,18 @@ def mixed_frame_experiment(
     only the wavelet branches with the dual bank (the final scaling branch is
     dropped), and report max ||output|| / ||input|| over random signals.
     Orthogonal pairs give ratios at numerical zero."""
-    def ratio(v):
+    def ratio(draw):
+        v = draw()
+        norm = np.linalg.norm(v)
         stack = list(_analysis_cascade(v, pair.primal, levels))
+        del v  # not held through the synthesis
         r = np.zeros(stack[-1].shape[1], dtype=np.complex128)
         while stack:
             # the synthesis of the level below replaces the scaling branch
             branches = stack.pop()
             branches[0] = r
             r = synthesis_step(branches, pair.dual)
-        return float(np.linalg.norm(r) / np.linalg.norm(v))
+        return float(np.linalg.norm(r) / norm)
 
     banks = [("primal", pair.primal), ("dual", pair.dual)]
     return _random_signal_trials("mixed_frame", 0x3D, banks, ratio, size_exponent,

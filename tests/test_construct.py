@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from framefield import kernels
 from framefield.cli import _load_json
 from framefield.construct import (
     FramePair,
@@ -40,6 +41,7 @@ from framefield.mask import (
     check_uep,
     coeff_pairs,
     covering_depth,
+    gram_deviation,
     mask_values_on_grid,
     sweep_report,
     zero_mask,
@@ -427,6 +429,32 @@ def test_seeded_paraunitary_memory_is_three_stacks():
             tracemalloc.stop()
         assert matrix.size == 48
         assert peak <= 3 * stack
+
+
+# einsum's iterator keeps two buffers of 8192 items, here complex, whatever
+# the size of its operands
+EINSUM_BUFFERS = 2 * 8192 * 16
+
+
+def test_certificate_holds_one_gram_block():
+    # the GF(25) 48 x 48 seeded matrix's certificate over its 0.92 MB
+    # stack: one block of conjugated columns and their Grams, the identity
+    # taken off in place, with the previous block's Grams dropped first, and
+    # einsum's buffers.  Holding those Grams, and a Gram minus I beside
+    # them, raised the traced memory by 1.05 MB
+    params = FieldParams(5, 2)
+    matrix = seeded_paraunitary(params, 48, 1)
+    stack = matrix.symbols(matrix.depth()).transpose(1, 0, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deviations = gram_deviation(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviations.max() <= DEFAULT_MATRIX_TOL
+    bound = kernels.BLOCK_BYTES + EINSUM_BUFFERS + deviations.nbytes
+    assert peak - before <= bound, peak - before
 
 
 def test_derive_pair_transforms_each_half_of_the_matrix_alone():

@@ -8,6 +8,9 @@ and transforms back once instead; both must give the same stride, the same
 length and the same coefficients to rounding.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,13 +28,17 @@ from framefield.construct import (
 )
 from framefield.galois import FieldParams
 from framefield.localfield import index_add
+from framefield import mask
 from framefield.mask import (
     TRIM_CUTOFF,
     FilterBank,
     Mask,
+    coefficient_rows,
     covering_depth,
+    lattice_symbols,
     mask_add,
     mask_mul,
+    symbols,
     trim_mask,
     zero_mask,
 )
@@ -222,3 +229,42 @@ def test_mask_adjoint_is_involution(params, data):
     back = mask_adjoint(mask_adjoint(m))
     assert back.stride == m.stride
     assert np.array_equal(back.coeffs, m.coeffs)
+
+
+def test_only_mask_scales_symbols():
+    # mask.symbols applies the sqrt(q) scale and mask.lattice_symbols the
+    # stride-q read; a sqrt of a field size in another module (the per-point
+    # reference route aside) would be a second copy of that rule
+    for path in sorted(Path(mask.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem not in ("mask", "reference"):
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if getattr(func, "attr", getattr(func, "id", None)) == "sqrt":
+                    names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node.args[0])}
+                    assert "q" not in names, f"{path.name}:{node.lineno}"
+        if path.stem == "construct":
+            used = {getattr(n, "name", getattr(n, "attr", getattr(n, "id", None)))
+                    for n in ast.walk(tree)}
+            assert not used & {"_grid_transform", "coset_values"}
+
+
+@given(params=fields, data=st.data())
+def test_lattice_symbols_read_the_symbols_at_t_x(params, data):
+    # a row on q*N0 spread onto N0 (its coefficients at every q-th slot) has
+    # at the coset representative t*x, grid index q*x, the value its
+    # lattice row has at x; and coefficient_rows takes symbols back to rows
+    q = params.q
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n, k, width = (data.draw(st.integers(1, 3)) for _ in range(3))
+    rows = rng.standard_normal((n, k, width)) + 1j * rng.standard_normal((n, k, width))
+    depth = covering_depth(q * (width - 1), q) + data.draw(st.integers(0, 1))
+    spread = np.zeros((n * k, q * width), dtype=np.complex128)
+    spread[:, ::q] = rows.reshape(n * k, width)
+    full = symbols(params, spread, depth)
+    lattice = lattice_symbols(params, rows, depth)
+    assert lattice.shape == (n, k, q ** (depth - 1))
+    assert np.abs(lattice.reshape(n * k, -1) - full[:, ::q]).max() <= COEFF_ATOL
+    want = np.zeros_like(full)
+    want[:, : q * width] = spread
+    assert np.abs(coefficient_rows(params, full) - want).max() <= COEFF_ATOL

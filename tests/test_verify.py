@@ -366,6 +366,27 @@ def test_mixed_trial_holds_each_level_once():
     assert peak <= 2.4 * 2 ** 20
 
 
+def test_mixed_trial_drops_its_signal_before_synthesis():
+    # the same pair at 3**10 samples (945 kB a signal).  The top synthesis
+    # holds the level-1 branches and its own buffer, (L+1)/q signals each,
+    # its output signal and the level-2 output; a trial that kept its input
+    # signal through the synthesis held one signal more (5.86 signals
+    # traced, against 4.86)
+    pair = long_pair(FieldParams(3), 690, 1)
+    q, size = 3, 10
+    signal = 16 * q ** size
+    mixed_frame_experiment(pair, size, 1, 1, enforce_precondition=False)  # field tables
+    tracemalloc.start()
+    try:
+        report = mixed_frame_experiment(pair, size, 3, 1, enforce_precondition=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    branches = len(pair.primal.coeffs) / q
+    assert peak <= (2 * branches + 1 + 1 / q) * signal + 2 * kernels.BLOCK_BYTES, peak / signal
+
+
 # ---------------------------------------------------------------------------
 # telescoping identities
 
